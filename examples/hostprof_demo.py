@@ -13,8 +13,8 @@ stacks for a flamegraph.
 Three invariants the demo asserts:
 
 * the per-subsystem attribution sums *exactly* to the total attributed
-  time (charge intervals tile the instrumented loop — nothing is lost
-  or double-counted);
+  time (charge intervals tile the profiled run — nothing is lost or
+  double-counted);
 * attaching the profiler leaves simulated results bit-identical (host
   observation must never perturb simulated time);
 * the engine telemetry (heap pushes/pops, queue depth) is identical

@@ -25,8 +25,8 @@ suite.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
-import multiprocessing
 import random
 from typing import Any, Dict, List, Optional
 
@@ -39,6 +39,7 @@ from repro.cpu.os_sched import CRASHED, DONE, OS, DeadlockError
 from repro.lcu.lcu import ProtocolError
 from repro.locks import get_algorithm  # package import populates the registry
 from repro.params import MachineConfig, model_a, model_b, small_test_model
+from repro.shards import shard_map
 
 _MODELS = {"A": model_a, "B": model_b, "T": small_test_model}
 
@@ -546,14 +547,14 @@ def _shard_dict(algo: str, model: str, outcomes) -> Dict[str, Any]:
     }
 
 
-def _fuzz_shard(spec) -> Dict[str, Any]:
-    """Worker-process entry point for :func:`fuzz_matrix`.  Returns a
-    plain dict: ``CheckOutcome``/``InvariantViolation`` carry custom
-    constructors that do not survive pool pickling, and the parent can
+def _fuzz_shard(spec, span_tracer=None) -> Dict[str, Any]:
+    """Fuzz one (algo, model) combination and return a plain dict:
+    ``CheckOutcome``/``InvariantViolation`` carry custom constructors
+    that do not survive pool pickling, and the parent can
     deterministically re-run any failing case anyway."""
     algo, model, runs, seed = spec
     return _shard_dict(algo, model, fuzz(algo, model=model, runs=runs,
-                                         seed=seed))
+                                         seed=seed, span_tracer=span_tracer))
 
 
 def fuzz_matrix(
@@ -566,27 +567,24 @@ def fuzz_matrix(
     span_tracer=None,
 ) -> List[Dict[str, Any]]:
     """Fuzz every (algo, model) combination, optionally fanned out over
-    a spawn-context process pool.  Deterministic in its arguments AND
-    the worker count: each combination is an independent fuzz stream
-    keyed by ``(algo, model, runs, seed)``, and shards merge in spec
-    order.  Failing cases come back as case dicts — replay one with
-    ``run_case(FuzzCase.from_dict(d))`` (bit-identical) to recover the
-    full outcome and violation in-process.  ``span_tracer`` only
-    applies to the serial path (spans cannot cross process boundaries)."""
+    a process pool (:func:`repro.shards.shard_map`).  Deterministic in
+    its arguments AND the worker count: each combination is an
+    independent fuzz stream keyed by ``(algo, model, runs, seed)``, and
+    shards merge in spec order.  Failing cases come back as case dicts
+    — replay one with ``run_case(FuzzCase.from_dict(d))``
+    (bit-identical) to recover the full outcome and violation
+    in-process.  A ``span_tracer`` runs the shards serially (spans
+    cannot cross process boundaries)."""
     specs = [(a, m, runs, seed) for m in models for a in algos]
-    if workers >= 2 and len(specs) > 1:
-        ctx = multiprocessing.get_context("spawn")
-        with ctx.Pool(processes=min(workers, len(specs))) as pool:
-            shards = pool.map(_fuzz_shard, specs)  # order-preserving
-    else:
-        shards = [
-            _shard_dict(a, m, fuzz(a, model=m, runs=r, seed=s,
-                                   span_tracer=span_tracer))
-            for a, m, r, s in specs
-        ]
-    for shard in shards:
+    shard = _fuzz_shard
+    if span_tracer is not None:
+        shard = functools.partial(_fuzz_shard, span_tracer=span_tracer)
+        workers = 0
+    shards = []
+    for payload in shard_map(shard, specs, workers):
+        shards.append(payload)
         if progress is not None:
-            progress(shard)
+            progress(payload)
     return shards
 
 

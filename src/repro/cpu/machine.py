@@ -35,19 +35,16 @@ class Machine:
 
     ``tiebreak_seed`` perturbs same-cycle event ordering (see
     :class:`repro.sim.engine.Simulator`); the schedule fuzzer uses it to
-    explore alternative interleavings deterministically.
-    ``scheduler`` selects the simulator's event store (``"calendar"`` /
-    ``"reference"``) — the differential equivalence tests run the same
-    workload on both and demand identical event order.
+    explore alternative interleavings deterministically.  Both orders
+    run on the one event store and loop.
     """
 
     def __init__(
         self, config: MachineConfig, tiebreak_seed: "int | None" = None,
-        scheduler: "str | None" = None,
     ) -> None:
         config.validate()
         self.config = config
-        self.sim = Simulator(tiebreak_seed=tiebreak_seed, scheduler=scheduler)
+        self.sim = Simulator(tiebreak_seed=tiebreak_seed)
         self.net = Network(self.sim, config, self._chip_of)
         self.alloc = Allocator(config.line_size)
 

@@ -17,7 +17,6 @@ style tooling or shrunk by the fuzzer.
 from __future__ import annotations
 
 import dataclasses
-import multiprocessing
 import zlib
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -30,6 +29,7 @@ from repro.faults.plan import (
     SCHED_CLASSES,
     generate_plan,
 )
+from repro.shards import shard_map
 
 #: default algorithm axis: the paper lock, its degradable variant, and
 #: the strongest software baselines (queue locks + reader-writer)
@@ -212,8 +212,8 @@ def _cell_specs(
 
 
 def _cell_shard(spec: Tuple) -> Dict[str, Any]:
-    """Worker-process entry point: run one cell, return it as a plain
-    dict (pool transport must not depend on rich-object pickling)."""
+    """Run one cell and return it as a plain dict (pool transport must
+    not depend on rich-object pickling)."""
     algo, model, fault, seed, threads, iters, horizon, fencing = spec
     return run_cell(
         algo, model, fault, seed,
@@ -238,31 +238,15 @@ def run_matrix(
     AND any worker count — every cell is an independent simulation
     keyed only by its spec, and results are merged in spec order.
 
-    ``workers >= 2`` fans cells out over a spawn-context process pool
-    (spawn, not fork: each worker imports a clean interpreter, so no
-    inherited module state can perturb a cell).  ``workers <= 1`` runs
-    serially in-process.  With a pool, ``progress`` fires at merge time
-    (spec order), not at cell completion."""
+    ``workers >= 2`` fans cells out over a process pool
+    (:func:`repro.shards.shard_map`); ``workers <= 1`` runs serially
+    in-process.  ``progress`` fires per cell, in spec order."""
     specs = _cell_specs(algos, models, classes, seed, threads, iters,
                         horizon, fencing)
     cells: List[NemesisCell] = []
-    if workers >= 2 and len(specs) > 1:
-        ctx = multiprocessing.get_context("spawn")
-        with ctx.Pool(processes=min(workers, len(specs))) as pool:
-            shards = pool.map(_cell_shard, specs)  # order-preserving
-        for shard in shards:
-            cell = NemesisCell(**shard)
-            cells.append(cell)
-            if progress is not None:
-                progress(cell)
-    else:
-        for spec in specs:
-            cell = run_cell(
-                spec[0], spec[1], spec[2], spec[3],
-                threads=spec[4], iters=spec[5], horizon=spec[6],
-                fencing=spec[7],
-            )
-            cells.append(cell)
-            if progress is not None:
-                progress(cell)
+    for shard in shard_map(_cell_shard, specs, workers):
+        cell = NemesisCell(**shard)
+        cells.append(cell)
+        if progress is not None:
+            progress(cell)
     return NemesisResult(seed=seed, cells=cells)

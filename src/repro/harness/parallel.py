@@ -18,8 +18,8 @@ that hold:
 * every shard is fully self-contained (fresh ``Machine``, fresh
   ``MetricsRegistry``, seed passed explicitly) and returns plain data;
 * shard payloads are merged in *spec order*, never completion order
-  (``Pool.map`` preserves input order; the serial path iterates the
-  same list);
+  (:func:`repro.shards.shard_map` yields them in spec order on both
+  paths);
 * the artifact carries nothing volatile — no wall-clock timestamps, no
   worker count, no host identifiers.  Worker count changes wall time,
   never bytes.
@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import multiprocessing
 import os
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
@@ -41,6 +40,7 @@ from repro.harness.bench import BenchCellSpec, _config
 from repro.harness.microbench import run_microbench
 from repro.obs.registry import MetricsRegistry
 from repro.obs.report import build_run_report
+from repro.shards import shard_map
 
 #: the CI smoke matrix: two cells, one seed — small enough to finish in
 #: seconds, large enough to exercise the shard/merge path end to end.
@@ -60,8 +60,8 @@ def _run_shard(shard: Tuple[BenchCellSpec, int],
                fairness: bool = False) -> Dict[str, Any]:
     """Run one (cell, seed) shard in full isolation and return plain
     data: the microbench result fields plus an exact-state registry
-    dump.  Module-level (and argument-picklable) so ``Pool.map`` can
-    ship it to spawn-started workers.  With ``fairness`` each shard
+    dump.  Module-level (and argument-picklable) so the pool can ship
+    it to spawn-started workers.  With ``fairness`` each shard
     attaches a fresh :class:`~repro.obs.fairness.FairnessObservatory`
     and publishes its ledger into the registry — counters add, wait
     histograms bucket-merge and watermark gauges keep their max across
@@ -132,9 +132,10 @@ def run_sweep(
     """Run the full sweep and return the merged RunReport dict.
 
     ``workers <= 1`` runs every shard serially in-process (the reference
-    path); ``workers >= 2`` shards across a spawn-context pool.  Both
-    paths produce byte-identical reports.  ``progress``, if given, is
-    called with each shard payload as it is merged (spec order).
+    path); ``workers >= 2`` shards across a process pool
+    (:func:`repro.shards.shard_map`).  Both paths produce byte-identical
+    reports.  ``progress``, if given, is called with each shard payload
+    as it is merged (spec order).
     ``fairness`` attaches a fairness observatory to every shard (see
     :func:`_run_shard`); the flag changes telemetry only, never
     simulated cycles, and the byte-identity contract holds for any
@@ -144,15 +145,10 @@ def run_sweep(
     if not shards:
         raise ValueError("sweep needs at least one (cell, seed) shard")
     run_one = functools.partial(_run_shard, fairness=fairness)
-    if workers >= 2:
-        ctx = multiprocessing.get_context("spawn")
-        nproc = min(workers, len(shards))
-        with ctx.Pool(processes=nproc) as pool:
-            payloads = pool.map(run_one, shards)
-    else:
-        payloads = [run_one(s) for s in shards]
-    if progress is not None:
-        for p in payloads:
+    payloads = []
+    for p in shard_map(run_one, shards, workers):
+        payloads.append(p)
+        if progress is not None:
             progress(p)
     return merge_shards(payloads)
 

@@ -8,15 +8,16 @@ own hot path.
 
 Three pieces:
 
-* :class:`HostProfiler` — the attribution sink for the engine's
-  instrumented dispatch loop (:meth:`repro.sim.engine.Simulator.
-  attach_host_profiler`).  Every host nanosecond spent inside
-  ``Simulator.run`` is charged to exactly one bucket: the event
-  handler's *subsystem* (classified once per code object from the
-  handler's defining module — ``repro.net`` -> ``net``, ``repro.lcu``
-  -> ``lcu``, ...), ``obs`` for invariant probes and sampling ticks, or
-  ``engine`` for the loop itself (heap ops, bound checks).  Because the
-  charge intervals tile the loop's wall time, per-subsystem totals sum
+* :class:`HostProfiler` — the attribution sink that takes the engine's
+  dispatch slot (:attr:`repro.sim.engine.Simulator.dispatch`).  Each
+  event handler runs inside :meth:`HostProfiler.dispatch`, which charges
+  its host time to the handler's *subsystem* (classified once per code
+  object from the handler's defining module — ``repro.net`` -> ``net``,
+  ``repro.lcu`` -> ``lcu``, ...).  The time probes take after an event
+  goes to ``obs`` (as do sampling ticks, which are ``repro.obs``
+  handlers), and the time between one handler and the next that no
+  probe took goes to ``engine`` (queue ops, bound checks).  Because the
+  charge intervals tile the profiled stretch, per-subsystem totals sum
   to ``total_ns`` *by construction*.  Per-handler totals feed a folded-
   stack export for host flamegraphs and the ``host`` section of
   RunReport schema v3.
@@ -29,8 +30,8 @@ Three pieces:
   :mod:`repro.harness.bench` for the runner that produces records.
 
 Zero-cost contract: nothing here is imported by the simulator; with no
-profiler attached the engine runs its original loop and ``--host-prof``
-off costs only one falsy check per ``Simulator.run`` call.
+profiler attached the dispatch slot is empty and ``--host-prof`` off
+costs one None-check per event.
 """
 
 from __future__ import annotations
@@ -40,6 +41,8 @@ import os
 import platform
 import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
+
+from repro.sim.engine import SimulationError
 
 #: attribution buckets, in report order.  ``engine`` is the event loop
 #: itself; ``obs`` is observability overhead (probes, sampling ticks,
@@ -86,11 +89,17 @@ def classify_module(module: Optional[str]) -> str:
 class HostProfiler:
     """Charges host nanoseconds to subsystems and per-event handlers.
 
-    The engine's instrumented loop calls :meth:`charge` (loop/probe
-    intervals) and :meth:`charge_event` (handler intervals); both are a
-    couple of dict operations, which is the entire per-event overhead of
-    ``--host-prof``.  Handler classification is cached per code object,
-    so the string work happens once per handler *kind*, not per event.
+    :meth:`dispatch` (the simulator's dispatch slot while attached) reads
+    the clock around each handler and calls :meth:`charge` (loop and
+    probe intervals) and :meth:`charge_event` (handler intervals); both
+    are a couple of dict operations, which is the entire per-event
+    overhead of ``--host-prof``.  Handler classification is cached per
+    code object, so the string work happens once per handler *kind*, not
+    per event.
+
+    ``engine`` is measured from :meth:`attach`: it covers the loop's
+    work between handlers and, between two ``run()`` calls, whatever the
+    caller does while the profiler stays attached.
     """
 
     #: host clock, overridable in tests for deterministic charging
@@ -104,6 +113,8 @@ class HostProfiler:
         #: classification cache keyed by code object (closures share one)
         self._cache: Dict[Any, Tuple[str, str]] = {}
         self._sims: List[Any] = []
+        #: clock reading at the end of the last charged interval
+        self._mark: int = 0
         #: engine event-queue stats folded in at detach time
         self.engine_stats: Dict[str, float] = {}
 
@@ -111,8 +122,14 @@ class HostProfiler:
     # attachment
 
     def attach(self, sim) -> None:
-        """Route ``sim``'s run loop through the instrumented dispatch."""
-        sim.attach_host_profiler(self)
+        """Take ``sim``'s dispatch slot and time its probes."""
+        current = sim.dispatch
+        if current is not None and getattr(current, "__self__", None) is not self:
+            raise SimulationError("the simulator's dispatch slot is taken")
+        sim.dispatch = self.dispatch
+        if not isinstance(sim._probes, _TimedProbes):
+            sim._probes = _TimedProbes(self, sim._probes)
+        self._mark = self.clock()
         if sim not in self._sims:
             self._sims.append(sim)
 
@@ -123,8 +140,21 @@ class HostProfiler:
         event-weighted).  Idempotent."""
         for sim in self._sims:
             self._merge_engine_stats(sim.engine_stats())
-            sim.detach_host_profiler()
+            sim.dispatch = None
+            sim._probes = list.copy(sim._probes)  # not via __iter__
         self._sims = []
+
+    def dispatch(self, now: int, fn: Callable[[], None]) -> None:
+        """Run one event, charging the time since the previous handler
+        (or probe pass) to ``engine`` and the handler's own time to its
+        subsystem."""
+        clock = self.clock
+        t0 = clock()
+        self.charge("engine", t0 - self._mark)
+        fn()
+        t1 = clock()
+        self.charge_event(fn, t1 - t0)
+        self._mark = t1
 
     def _merge_engine_stats(self, stats: Dict[str, float]) -> None:
         acc = self.engine_stats
@@ -143,7 +173,7 @@ class HostProfiler:
                 acc[key] = acc.get(key, 0) + value
 
     # ------------------------------------------------------------------ #
-    # charging (called from the engine's instrumented loop)
+    # charging
 
     def charge(self, subsystem: str, ns: int) -> None:
         """Charge ``ns`` host nanoseconds to ``subsystem``."""
@@ -287,6 +317,28 @@ class HostProfiler:
                 f"{eng.get('signal_fires', 0):.0f} fires"
             )
         return "\n".join(lines)
+
+
+class _TimedProbes(list):
+    """The probe list of a profiled simulator.  The engine iterates it
+    once after every event; the iteration itself charges the time the
+    probes take to ``obs``.  An empty list is falsy, so the engine skips
+    it (and this charge) as it skips an empty plain list."""
+
+    __slots__ = ("host",)
+
+    def __init__(self, host: HostProfiler, probes) -> None:
+        super().__init__(probes)
+        self.host = host
+
+    def __iter__(self):
+        host = self.host
+        t0 = host.clock()
+        host.charge("engine", t0 - host._mark)
+        yield from list.__iter__(self)
+        t1 = host.clock()
+        host.charge("obs", t1 - t0)
+        host._mark = t1
 
 
 # ---------------------------------------------------------------------- #

@@ -2,30 +2,22 @@
 
 The whole reproduction runs on this small deterministic event kernel.
 Time is measured in integer *cycles*.  Events scheduled for the same cycle
-fire in schedule order (FIFO within a cycle), which makes every simulation
-run bit-reproducible for a given seed.
+fire in schedule order (FIFO within a cycle) unless a tiebreak seed
+perturbs that order; either way every run is bit-reproducible for a given
+seed.
 
 The building blocks are:
 
 ``Simulator``
-    The event queue and clock.
+    The clock, the event queue and the one dispatch loop
+    (:meth:`Simulator.run`).
 
 ``CalendarQueue``
-    The default event store: a calendar/bucketed queue keyed by exact
-    cycle.  Events for one cycle live in one FIFO bucket list; a small
-    integer min-heap of *distinct armed cycles* finds the next non-empty
-    bucket, so advancing the clock across a run of empty cycles is one
-    heap pop instead of per-cycle work.  Drained bucket lists are
-    recycled through a preallocated free pool.  See DESIGN.md "Event
-    queue internals" for the bucket math and lifecycle.
-
-``ReferenceScheduler``
-    The pre-calendar event store: a single heapq of ``(time, key, seq,
-    fn)`` tuples.  It is kept for two jobs — it is the oracle the
-    differential tests (tests/test_engine_equiv.py) compare the calendar
-    queue against, and it is the only store that supports *perturbed*
-    same-cycle ordering (``tiebreak_seed``), which the schedule fuzzer
-    needs.
+    The event store: FIFO bucket lists keyed by an integer *key*, plus a
+    small integer min-heap of the armed keys.  In stable order the key is
+    the cycle, so advancing the clock across a run of empty cycles is one
+    heap pop.  In seeded order the key is the cycle and a random draw.
+    See DESIGN.md "Event queue internals" for the key math.
 
 ``Signal``
     A broadcast condition: processes block on it and are resumed when it
@@ -42,7 +34,11 @@ from __future__ import annotations
 
 import heapq
 import random
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
+
+#: a seeded key is ``cycle << 30 | draw``: one integer compare orders
+#: keys by (cycle, 30-bit tiebreak draw)
+_SEEDED_SHIFT = 30
 
 
 class SimulationError(RuntimeError):
@@ -50,151 +46,61 @@ class SimulationError(RuntimeError):
 
 
 class CalendarQueue:
-    """Cycle-keyed bucket store with a free pool of drained buckets.
+    """Key-bucketed event store.
 
     Invariants (pinned by tests/test_engine_equiv.py property tests):
 
-    * ``buckets[t]`` exists iff cycle ``t`` appears exactly once in the
-      ``times`` heap; ``size`` equals the total number of queued events.
-    * Events within one bucket fire in append (schedule) order — the
-      same total order the reference scheduler's monotonic sequence
-      number produces when no tiebreak perturbation is active.
-    * A fully drained bucket list is cleared and parked on ``pool``
-      (capped at ``pool_cap``) for reuse by the next new cycle, so the
-      steady state allocates no per-cycle list objects.
+    * every key in the ``times`` heap has its bucket in ``buckets`` and
+      appears in the heap once.  The one bucket whose key is not in
+      ``times`` is the one :meth:`Simulator.run` is dispatching: its key
+      leaves the heap before its first event runs.  ``size`` is the
+      number of queued events.
+    * Events within one bucket fire in append (schedule) order, and a
+      bucket is deleted as soon as it is drained.
 
-    The :class:`Simulator` hot loop operates on these fields directly
-    (method-call overhead per event is what this class exists to avoid);
-    the methods below express the same invariants one step at a time for
-    tests and cold paths.
+    The class has no methods: :meth:`Simulator.at` and
+    :meth:`Simulator.run` work on these fields directly, because a method
+    call per event is the overhead this layout exists to avoid.
     """
 
-    __slots__ = ("buckets", "times", "pool", "size", "pool_cap")
+    __slots__ = ("buckets", "times", "size")
 
-    def __init__(self, pool_cap: int = 512) -> None:
+    def __init__(self) -> None:
         self.buckets: Dict[int, List[Callable[[], None]]] = {}
-        self.times: List[int] = []          # min-heap of distinct cycles
-        self.pool: List[List[Callable[[], None]]] = []
+        self.times: List[int] = []          # min-heap of armed keys
         self.size = 0
-        self.pool_cap = pool_cap
-
-    def push(self, time: int, fn: Callable[[], None]) -> None:
-        bucket = self.buckets.get(time)
-        if bucket is None:
-            pool = self.pool
-            if pool:
-                bucket = pool.pop()
-                bucket.append(fn)
-            else:
-                bucket = [fn]
-            self.buckets[time] = bucket
-            heapq.heappush(self.times, time)
-        else:
-            bucket.append(fn)
-        self.size += 1
-
-    def peek_time(self) -> Optional[int]:
-        return self.times[0] if self.times else None
-
-    def pop(self) -> Tuple[int, Callable[[], None]]:
-        """Remove and return the next ``(time, fn)`` in dispatch order."""
-        if not self.times:
-            raise IndexError("pop from an empty CalendarQueue")
-        t = self.times[0]
-        bucket = self.buckets[t]
-        fn = bucket.pop(0)
-        self.size -= 1
-        if not bucket:
-            self.retire_bucket(t, bucket)
-        return t, fn
-
-    def retire_bucket(self, time: int, bucket: List) -> None:
-        """Unlink a fully drained bucket and recycle its list."""
-        heapq.heappop(self.times)
-        del self.buckets[time]
-        if len(self.pool) < self.pool_cap:
-            bucket.clear()
-            self.pool.append(bucket)
-
-    def __len__(self) -> int:
-        return self.size
-
-
-class ReferenceScheduler:
-    """The original single-heapq event store (the differential oracle).
-
-    Each push allocates one ``(time, key, seq, fn)`` tuple; ``key`` is
-    the sequence number itself (stable FIFO) or, with a tiebreak RNG, a
-    deterministic random 30-bit draw that perturbs same-cycle order
-    (schedule order still breaks key collisions).
-    """
-
-    __slots__ = ("heap", "seq", "tiebreak")
-
-    def __init__(self, tiebreak: Optional[random.Random] = None) -> None:
-        self.heap: List[Tuple[int, int, int, Callable[[], None]]] = []
-        self.seq = 0
-        self.tiebreak = tiebreak
-
-    def push(self, time: int, fn: Callable[[], None]) -> None:
-        key = self.seq if self.tiebreak is None else self.tiebreak.getrandbits(30)
-        heapq.heappush(self.heap, (time, key, self.seq, fn))
-        self.seq += 1
-
-    def peek_time(self) -> Optional[int]:
-        return self.heap[0][0] if self.heap else None
-
-    def pop(self) -> Tuple[int, Callable[[], None]]:
-        time, _key, _seq, fn = heapq.heappop(self.heap)
-        return time, fn
-
-    def __len__(self) -> int:
-        return len(self.heap)
 
 
 class Simulator:
     """Deterministic discrete-event simulator with an integer cycle clock.
 
-    Events default to the :class:`CalendarQueue` store.  ``tiebreak_seed``
-    perturbs the order in which *same-cycle* events fire: instead of pure
-    schedule order, each event draws a deterministic random key from the
-    seed and same-cycle events fire in key order.  Every seed is one
-    reproducible interleaving — the schedule fuzzer (:mod:`repro.check.
-    fuzz`) sweeps seeds to explore interleavings the default order never
-    produces.  A tiebreak forces the :class:`ReferenceScheduler` store
-    (the calendar queue is FIFO by construction and cannot express a
-    perturbed order); ``scheduler="reference"`` selects it explicitly,
-    which the differential tests use to compare both stores over the
-    same workload.
+    ``tiebreak_seed`` perturbs the order in which *same-cycle* events
+    fire: instead of pure schedule order, each event draws a deterministic
+    random 30-bit number from the seed when it is scheduled, and
+    same-cycle events fire in draw order (schedule order breaks ties).
+    Every seed is one reproducible interleaving — the schedule fuzzer
+    (:mod:`repro.check.fuzz`) sweeps seeds to explore interleavings the
+    default order never produces.  Both orders use the same store and the
+    same loop: a seeded event is filed under the key ``cycle << 30 |
+    draw``, so the key heap alone yields the perturbed order.
 
-    ``event_hook`` (when set to ``fn(time, event)``) observes every event
-    just before it is dispatched — the differential tests' event-order
-    capture point.  It costs one local None-check per event when unset.
+    ``dispatch`` (when set to ``fn(now, event)``) is called in place of
+    every ``event()``, and must call ``event()`` itself.  It is how
+    :class:`repro.obs.host.HostProfiler` times handlers and how the
+    differential tests record the dispatch order.  Unset, it costs one
+    None-check per event.
     """
 
-    def __init__(
-        self,
-        tiebreak_seed: Optional[int] = None,
-        scheduler: Optional[str] = None,
-    ) -> None:
-        if scheduler not in (None, "calendar", "reference"):
-            raise ValueError(f"unknown scheduler {scheduler!r}")
+    def __init__(self, tiebreak_seed: Optional[int] = None) -> None:
         self.now: int = 0
         self._seq: int = 0
         self._events_processed: int = 0
         self._tiebreak: Optional[random.Random] = (
             random.Random(tiebreak_seed) if tiebreak_seed is not None else None
         )
-        if self._tiebreak is not None or scheduler == "reference":
-            self._ref: Optional[ReferenceScheduler] = ReferenceScheduler(
-                self._tiebreak
-            )
-            self._cal: Optional[CalendarQueue] = None
-        else:
-            self._ref = None
-            self._cal = CalendarQueue()
+        self._cal = CalendarQueue()
         self._probes: List[Callable[[], None]] = []
-        self.event_hook: Optional[Callable[[int, Callable], None]] = None
+        self.dispatch: Optional[Callable[[int, Callable[[], None]], None]] = None
         self._stop = False
         self._running = False
         # event-queue telemetry: plain integer bumps in at()/run() (a few
@@ -207,7 +113,6 @@ class Simulator:
         self.signal_waits: int = 0
         self.signal_cancels: int = 0
         self.signal_fires: int = 0
-        self._host: Optional[Any] = None
 
     @property
     def stable_order(self) -> bool:
@@ -227,27 +132,18 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule event at {time} (now={self.now})"
             )
-        ref = self._ref
-        if ref is not None:
-            ref.push(time, fn)
-            self._seq += 1
-            depth = len(ref.heap)
-            if depth > self.queue_depth_peak:
-                self.queue_depth_peak = depth
-            return
-        # inlined CalendarQueue.push (this is the hottest allocation site
-        # in the repo; a method call per event costs ~15% of the loop)
+        # inlined bucket push (this is the hottest allocation site in
+        # the repo; a method call per event costs ~15% of the loop)
         cal = self._cal
-        bucket = cal.buckets.get(time)
+        tiebreak = self._tiebreak
+        if tiebreak is None:
+            key = time
+        else:
+            key = (time << _SEEDED_SHIFT) | tiebreak.getrandbits(30)
+        bucket = cal.buckets.get(key)
         if bucket is None:
-            pool = cal.pool
-            if pool:
-                bucket = pool.pop()
-                bucket.append(fn)
-            else:
-                bucket = [fn]
-            cal.buckets[time] = bucket
-            heapq.heappush(cal.times, time)
+            cal.buckets[key] = [fn]
+            heapq.heappush(cal.times, key)
         else:
             bucket.append(fn)
         self._seq += 1
@@ -280,28 +176,30 @@ class Simulator:
         """Drain the event queue.
 
         Stops when the queue is empty, when simulated time would exceed
-        ``until``, when ``max_events`` events have been processed, when
-        ``stop_when()`` becomes true (checked between events), or when
-        :meth:`request_stop` was called.  Returns the number of events
-        processed by this call.  ``run`` must not be re-entered from an
-        event handler.
+        ``until`` (the clock then reads ``until``), when ``max_events``
+        events have been processed, when ``stop_when()`` becomes true
+        (checked between events), or when :meth:`request_stop` was
+        called.  Returns the number of events processed by this call.
+        ``until`` before the current time is an error, as scheduling in
+        the past is.  ``run`` must not be re-entered from an event handler.
         """
         if self._running:
             raise SimulationError("run() re-entered from an event handler")
-        if self._host is not None:
-            return self._run_profiled(until, max_events, stop_when)
-        if self._ref is not None:
-            return self._run_reference(until, max_events, stop_when)
+        if until is not None and until < self.now:
+            raise SimulationError(
+                f"cannot run until {until} (now={self.now})"
+            )
         if max_events is not None and max_events <= 0:
             return 0
 
         cal = self._cal
         buckets = cal.buckets
         times = cal.times
-        pool = cal.pool
         probes = self._probes
-        hook = self.event_hook
-        pop_time = heapq.heappop
+        dispatch = self.dispatch
+        shift = 0 if self._tiebreak is None else _SEEDED_SHIFT
+        pop_key = heapq.heappop
+        push_key = heapq.heappush
         nmax = -1 if max_events is None else max_events
         processed = 0
         depth_sum = 0
@@ -315,63 +213,57 @@ class Simulator:
                     break
                 if processed == nmax:
                     break
-                t = times[0]
+                # the key leaves the heap before its bucket runs, so a
+                # key armed by one of its handlers is visible below
+                key = pop_key(times)
+                t = key >> shift
                 if until is not None and t > until:
+                    push_key(times, key)
                     self.now = until
                     break
-                bucket = buckets[t]
+                bucket = buckets[key]
                 self.now = t
                 i = 0
-                broke = False
                 while True:
                     fn = bucket[i]
                     i += 1
                     cal.size = size = cal.size - 1
                     depth_sum += size
-                    if hook is not None:
-                        hook(t, fn)
-                    fn()
+                    if dispatch is None:
+                        fn()
+                    else:
+                        dispatch(t, fn)
                     processed += 1
                     if probes:
                         for probe in probes:
                             probe()
                     if i == len(bucket):
-                        break       # drained (len re-read: same-cycle
-                        # appends made during fn() grow the bucket)
-                    if self._stop or (stop_when is not None and stop_when()):
-                        self._stop = False
-                        del bucket[:i]
-                        broke = True
+                        # drained (len re-read: events appended under
+                        # this key during fn() grow the bucket)
+                        del buckets[key]
+                        bucket = None
                         break
-                    if processed == nmax:
+                    if (self._stop or processed == nmax
+                            or (times and times[0] < key)
+                            or (stop_when is not None and stop_when())):
+                        # the rest goes back under its key: the run
+                        # stops, or a handler armed a smaller key (a
+                        # seeded same-cycle event that drew lower),
+                        # which must run first.  The outer loop decides.
                         del bucket[:i]
-                        broke = True
+                        push_key(times, key)
+                        bucket = None
                         break
-                if broke:
-                    break
-                # batched advance: retire the bucket and jump straight to
-                # the next armed cycle — empty cycles cost nothing.
-                pop_time(times)
-                del buckets[t]
-                if len(pool) < cal.pool_cap:
-                    bucket.clear()
-                    pool.append(bucket)
-                bucket = None
         except BaseException:
             # keep the store consistent if a handler raised mid-bucket:
-            # events [0, i) were dispatched, the rest stay queued.  If the
-            # raising handler was the bucket's last event, retire the
-            # bucket outright — an empty bucket left armed would crash
-            # the next run() call.
-            if bucket is not None and i:
+            # events [0, i) were dispatched and the rest go back under
+            # their key; a bucket the raiser drained is retired outright.
+            if bucket is not None:
                 if i == len(bucket):
-                    pop_time(times)
-                    del buckets[self.now]
-                    if len(pool) < cal.pool_cap:
-                        bucket.clear()
-                        pool.append(bucket)
+                    del buckets[key]
                 else:
                     del bucket[:i]
+                    push_key(times, key)
             raise
         finally:
             self._running = False
@@ -379,185 +271,9 @@ class Simulator:
             self._events_processed += processed
         return processed
 
-    def _run_reference(
-        self,
-        until: Optional[int],
-        max_events: Optional[int],
-        stop_when: Optional[Callable[[], bool]],
-    ) -> int:
-        """The :meth:`run` loop over the :class:`ReferenceScheduler` heap
-        (tiebreak runs and the differential oracle).  Semantically the
-        original pre-calendar loop."""
-        heap = self._ref.heap
-        hook = self.event_hook
-        processed = 0
-        self._running = True
-        try:
-            while heap:
-                if self._stop or (stop_when is not None and stop_when()):
-                    self._stop = False
-                    break
-                if max_events is not None and processed >= max_events:
-                    break
-                time = heap[0][0]
-                if until is not None and time > until:
-                    self.now = until
-                    break
-                time, _key, _seq, fn = heapq.heappop(heap)
-                self._queue_depth_sum += len(heap)
-                self.now = time
-                if hook is not None:
-                    hook(time, fn)
-                fn()
-                processed += 1
-                if self._probes:
-                    for probe in self._probes:
-                        probe()
-        finally:
-            self._running = False
-            self._events_processed += processed
-        return processed
-
-    def _run_profiled(
-        self,
-        until: Optional[int],
-        max_events: Optional[int],
-        stop_when: Optional[Callable[[], bool]],
-    ) -> int:
-        """The :meth:`run` loop with host-time attribution.
-
-        Identical event semantics to the plain loops (same dispatch
-        order, same clock updates, same probe ordering) — only host-clock
-        reads are interleaved.  Every nanosecond between loop entry and
-        loop exit is charged to exactly one bucket: the event handler's
-        subsystem, ``obs`` for invariant probes, or ``engine`` for the
-        loop itself (queue ops, bound checks), so the attribution sums to
-        the total by construction.
-        """
-        host = self._host
-        clock = host.clock
-        hook = self.event_hook
-        processed = 0
-        self._running = True
-        t_mark = clock()
-        try:
-            if self._ref is not None:
-                heap = self._ref.heap
-                while heap:
-                    if self._stop or (stop_when is not None and stop_when()):
-                        self._stop = False
-                        break
-                    if max_events is not None and processed >= max_events:
-                        break
-                    time = heap[0][0]
-                    if until is not None and time > until:
-                        self.now = until
-                        break
-                    time, _key, _seq, fn = heapq.heappop(heap)
-                    self._queue_depth_sum += len(heap)
-                    self.now = time
-                    if hook is not None:
-                        hook(time, fn)
-                    t0 = clock()
-                    fn()
-                    t1 = clock()
-                    processed += 1
-                    if self._probes:
-                        for probe in self._probes:
-                            probe()
-                        t2 = clock()
-                        host.charge("obs", t2 - t1)
-                    else:
-                        t2 = t1
-                    host.charge("engine", t0 - t_mark)
-                    host.charge_event(fn, t1 - t0)
-                    t_mark = t2
-            else:
-                cal = self._cal
-                buckets = cal.buckets
-                times = cal.times
-                pool = cal.pool
-                bucket: Optional[List] = None
-                i = 0
-                try:
-                    while times:
-                        if self._stop or (
-                            stop_when is not None and stop_when()
-                        ):
-                            self._stop = False
-                            break
-                        if max_events is not None and processed >= max_events:
-                            break
-                        t = times[0]
-                        if until is not None and t > until:
-                            self.now = until
-                            break
-                        bucket = buckets[t]
-                        self.now = t
-                        i = 0
-                        broke = False
-                        while True:
-                            fn = bucket[i]
-                            i += 1
-                            cal.size = size = cal.size - 1
-                            self._queue_depth_sum += size
-                            if hook is not None:
-                                hook(t, fn)
-                            t0 = clock()
-                            fn()
-                            t1 = clock()
-                            processed += 1
-                            if self._probes:
-                                for probe in self._probes:
-                                    probe()
-                                t2 = clock()
-                                host.charge("obs", t2 - t1)
-                            else:
-                                t2 = t1
-                            host.charge("engine", t0 - t_mark)
-                            host.charge_event(fn, t1 - t0)
-                            t_mark = t2
-                            if i == len(bucket):
-                                break
-                            if self._stop or (
-                                stop_when is not None and stop_when()
-                            ):
-                                self._stop = False
-                                del bucket[:i]
-                                broke = True
-                                break
-                            if max_events is not None and processed >= max_events:
-                                del bucket[:i]
-                                broke = True
-                                break
-                        if broke:
-                            break
-                        heapq.heappop(times)
-                        del buckets[t]
-                        if len(pool) < cal.pool_cap:
-                            bucket.clear()
-                            pool.append(bucket)
-                        bucket = None
-                except BaseException:
-                    if bucket is not None and i:
-                        if i == len(bucket):
-                            heapq.heappop(times)
-                            del buckets[self.now]
-                            if len(pool) < cal.pool_cap:
-                                bucket.clear()
-                                pool.append(bucket)
-                        else:
-                            del bucket[:i]
-                    raise
-        finally:
-            self._running = False
-            host.charge("engine", clock() - t_mark)
-            self._events_processed += processed
-        return processed
-
     @property
     def pending_events(self) -> int:
-        return len(self._ref) if self._ref is not None else self._cal.size
+        return self._cal.size
 
     @property
     def events_processed(self) -> int:
@@ -600,22 +316,6 @@ class Simulator:
             "signal_cancels": self.signal_cancels,
             "signal_fires": self.signal_fires,
         }
-
-    # ------------------------------------------------------------------ #
-    # host-time attribution
-
-    def attach_host_profiler(self, host: Any) -> None:
-        """Route :meth:`run` through the instrumented dispatch loop,
-        charging host nanoseconds to ``host`` (a
-        :class:`repro.obs.host.HostProfiler`).  With no profiler attached
-        the plain loop runs and the hot path pays nothing."""
-        if self._host is not None and self._host is not host:
-            raise SimulationError("a host profiler is already attached")
-        self._host = host
-
-    def detach_host_profiler(self) -> None:
-        """Return :meth:`run` to the uninstrumented loop.  Idempotent."""
-        self._host = None
 
     # ------------------------------------------------------------------ #
     # probes

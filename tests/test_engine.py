@@ -58,6 +58,23 @@ class TestSimulator:
         sim.run()
         assert fired
 
+    @pytest.mark.parametrize("tiebreak_seed", [None, 3])
+    def test_run_until_in_the_past_is_rejected(self, tiebreak_seed):
+        # an ``until`` behind the clock used to rewind it, after which
+        # at() accepted events in the past
+        sim = Simulator(tiebreak_seed=tiebreak_seed)
+        sim.at(50, lambda: None)
+        sim.at(500, lambda: None)
+        sim.run(max_events=1)
+        assert sim.now == 50
+        with pytest.raises(SimulationError):
+            sim.run(until=10)
+        assert sim.now == 50
+        with pytest.raises(SimulationError):
+            sim.at(20, lambda: None)
+        assert sim.run() == 1
+        assert sim.now == 500
+
     def test_run_until_allows_boundary_event(self):
         sim = Simulator()
         fired = []

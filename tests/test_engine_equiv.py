@@ -1,17 +1,21 @@
-"""Differential equivalence: calendar queue vs the reference scheduler.
+"""Differential equivalence: the engine's event store vs a heapq oracle.
 
-The engine-speed overhaul replaced the single-heapq event store with a
-calendar/bucketed queue (`repro.sim.engine.CalendarQueue`).  The entire
-reproduction's determinism contract rides on one property: *the new
-store dispatches exactly the same events at exactly the same cycles in
-exactly the same order as the old one*.  These tests prove it two ways:
+The engine files events in a calendar/bucketed queue
+(`repro.sim.engine.CalendarQueue`) and dispatches both event orders —
+stable FIFO and seeded (``tiebreak_seed``) — through one loop,
+`Simulator.run`.  The entire reproduction's determinism contract rides
+on one property: *that loop dispatches exactly the same events at
+exactly the same cycles in exactly the same order as a plain heapq of
+``(cycle, key, seq, fn)`` tuples*, the store the engine started from.
+That heap lives on here as the oracle, :class:`HeapSimulator`, and these
+tests prove the property two ways:
 
 * differentially — run seeded full-stack workloads (locks x models x
-  fault plans) twice, once per store, capturing every dispatch through
-  ``Simulator.event_hook``, and demand bit-identical event sequences,
-  final clocks and results;
-* by property — hammer the `CalendarQueue` itself with seeded random
-  push/pop interleavings against a sorted-by-(time, seq) oracle.
+  fault plans, stable and seeded order) twice, once per store,
+  capturing every dispatch through ``Simulator.dispatch``, and demand
+  bit-identical event sequences, final clocks and results;
+* by property — drive ``Simulator.at``/``run`` with seeded random
+  push/dispatch interleavings against sorted-order oracles.
 
 Everything here carries the ``engine`` marker (CI runs it as its own
 gate).
@@ -19,21 +23,93 @@ gate).
 
 from __future__ import annotations
 
+import heapq
 import random
 
 import pytest
 
+import repro.cpu.machine as machine_mod
 from repro.cpu.machine import Machine
 from repro.cpu.os_sched import OS
 from repro.faults.injector import FaultInjector
+from repro.faults.nemesis import run_cell
 from repro.faults.plan import generate_plan
 from repro.locks.base import get_algorithm
 from repro.params import model_a, model_b, small_test_model
-from repro.sim.engine import CalendarQueue, ReferenceScheduler, Signal, Simulator
+from repro.sim.engine import Signal, SimulationError, Simulator
 
 from .conftest import RWTracker, cs_program
 
 pytestmark = pytest.mark.engine
+
+
+# --------------------------------------------------------------------- #
+# the oracle
+
+
+class HeapSimulator(Simulator):
+    """The pre-calendar event store: one heapq of ``(cycle, key, seq,
+    fn)`` tuples, where ``key`` is the schedule sequence number (stable
+    order) or a 30-bit draw from the tiebreak RNG (seeded order).  Same
+    clock, stop and probe semantics as :meth:`Simulator.run`, written
+    the obvious way."""
+
+    def __init__(self, tiebreak_seed=None):
+        super().__init__(tiebreak_seed)
+        self._heap = []
+
+    def at(self, time, fn):
+        time = int(time)
+        if time < self.now:
+            raise SimulationError(f"cannot schedule event at {time}")
+        seq = self._seq
+        key = seq if self._tiebreak is None else self._tiebreak.getrandbits(30)
+        heapq.heappush(self._heap, (time, key, seq, fn))
+        self._seq = seq + 1
+
+    @property
+    def pending_events(self):
+        return len(self._heap)
+
+    def run(self, until=None, max_events=None, stop_when=None):
+        if self._running:
+            raise SimulationError("run() re-entered from an event handler")
+        if until is not None and until < self.now:
+            raise SimulationError(f"cannot run until {until}")
+        heap = self._heap
+        processed = 0
+        self._running = True
+        try:
+            while heap:
+                if self._stop or (stop_when is not None and stop_when()):
+                    self._stop = False
+                    break
+                if max_events is not None and processed >= max_events:
+                    break
+                if until is not None and heap[0][0] > until:
+                    self.now = until
+                    break
+                time, _key, _seq, fn = heapq.heappop(heap)
+                self.now = time
+                if self.dispatch is None:
+                    fn()
+                else:
+                    self.dispatch(time, fn)
+                processed += 1
+                for probe in self._probes:
+                    probe()
+        finally:
+            self._running = False
+            self._events_processed += processed
+        return processed
+
+
+@pytest.fixture
+def on_oracle(monkeypatch):
+    """Build every ``Machine`` in the test on the heapq oracle."""
+    def install(cls=HeapSimulator):
+        monkeypatch.setattr(machine_mod, "Simulator", cls)
+    return install
 
 
 # --------------------------------------------------------------------- #
@@ -51,11 +127,19 @@ def _label(fn) -> str:
     return qual
 
 
-def _run_workload(scheduler, config_factory, lock_name, seed,
-                  fault_classes=None, threads=5, iters=12):
-    """Run one seeded workload on the given event store and return the
-    captured ``(cycle, handler)`` dispatch sequence plus end-state."""
-    machine = Machine(config_factory(), scheduler=scheduler)
+def _recorder(trace):
+    """A dispatch slot that appends ``(cycle, handler)`` and runs it."""
+    def dispatch(now, fn):
+        trace.append((now, _label(fn)))
+        fn()
+    return dispatch
+
+
+def _run_workload(config_factory, lock_name, seed, fault_classes=None,
+                  threads=5, iters=12, tiebreak_seed=None):
+    """Run one seeded workload and return the captured ``(cycle,
+    handler)`` dispatch sequence plus end-state."""
+    machine = Machine(config_factory(), tiebreak_seed=tiebreak_seed)
     os_ = OS(machine)
     algo = get_algorithm(lock_name)(machine)
     handle = algo.make_lock()
@@ -72,12 +156,12 @@ def _run_workload(scheduler, config_factory, lock_name, seed,
         FaultInjector(machine, os_, plan).arm()
 
     trace = []
-    machine.sim.event_hook = lambda t, fn: trace.append((t, _label(fn)))
+    machine.sim.dispatch = _recorder(trace)
     for _ in range(threads):
         os_.spawn(cs_program(algo, handle, tracker, iters,
                              write_of=write_of))
     elapsed = os_.run_all(max_cycles=5_000_000)
-    machine.sim.event_hook = None
+    machine.sim.dispatch = None
     machine.drain()
     return {
         "trace": trace,
@@ -107,11 +191,13 @@ WORKLOADS = [
     ids=[f"{c.__name__}-{l}-s{s}-{'+'.join(f) if f else 'clean'}"
          for c, l, s, f in WORKLOADS],
 )
-def test_calendar_matches_reference(config_factory, lock, seed, faults):
+def test_calendar_matches_reference(on_oracle, config_factory, lock, seed,
+                                    faults):
     """Same workload, both stores: bit-identical dispatch sequence,
     final cycle count and critical-section tally."""
-    cal = _run_workload(None, config_factory, lock, seed, faults)
-    ref = _run_workload("reference", config_factory, lock, seed, faults)
+    cal = _run_workload(config_factory, lock, seed, faults)
+    on_oracle()
+    ref = _run_workload(config_factory, lock, seed, faults)
     assert cal["events"] == ref["events"]
     assert cal["elapsed"] == ref["elapsed"]
     assert cal["now"] == ref["now"]
@@ -120,26 +206,14 @@ def test_calendar_matches_reference(config_factory, lock, seed, faults):
     assert cal["trace"] == ref["trace"]
 
 
-def test_microbench_metrics_match_reference():
+def test_microbench_metrics_match_reference(on_oracle):
     """RunReport-level simulated metrics agree between the stores."""
     from repro.harness.microbench import run_microbench
 
     kw = dict(threads=6, write_pct=40, iters_per_thread=20, seed=9)
     a = run_microbench(small_test_model(), "lcu", **kw)
-
-    import repro.harness.microbench as mb
-    import repro.cpu.machine as machine_mod
-
-    class RefMachine(machine_mod.Machine):
-        def __init__(self, config, tiebreak_seed=None, scheduler=None):
-            super().__init__(config, tiebreak_seed, scheduler="reference")
-
-    orig = mb.Machine
-    mb.Machine = RefMachine
-    try:
-        b = run_microbench(small_test_model(), "lcu", **kw)
-    finally:
-        mb.Machine = orig
+    on_oracle()
+    b = run_microbench(small_test_model(), "lcu", **kw)
     assert a.elapsed == b.elapsed
     assert a.total_cs == b.total_cs
     assert a.per_thread_cs == b.per_thread_cs
@@ -148,31 +222,86 @@ def test_microbench_metrics_match_reference():
 
 
 def test_tiebreak_still_perturbs_order():
-    """The schedule fuzzer's perturbation survives the rewrite: a
-    tiebreak seed selects the reference store and produces a different
-    (but internally deterministic) interleaving."""
-    base = _run_workload(None, small_test_model, "lcu", 3, threads=6)
-    tb = []
-    for _ in range(2):
-        machine = Machine(small_test_model(), tiebreak_seed=99)
-        os_ = OS(machine)
-        algo = get_algorithm("lcu")(machine)
-        handle = algo.make_lock()
-        tracker = RWTracker()
-        trace = []
-        machine.sim.event_hook = lambda t, fn: trace.append((t, _label(fn)))
-        for _ in range(6):
-            os_.spawn(cs_program(algo, handle, tracker, 12))
-        os_.run_all(max_cycles=5_000_000)
-        machine.sim.event_hook = None
-        machine.drain()
-        tb.append(trace)
+    """The schedule fuzzer's perturbation holds in the one loop: a
+    tiebreak seed produces a different (but internally deterministic)
+    interleaving."""
+    base = _run_workload(small_test_model, "lcu", 3, threads=6)
+    tb = [_run_workload(small_test_model, "lcu", 3, threads=6,
+                        tiebreak_seed=99)["trace"] for _ in range(2)]
     assert tb[0] == tb[1], "tiebreak runs must replay exactly"
     assert tb[0] != base["trace"], "tiebreak must actually perturb order"
 
 
 # --------------------------------------------------------------------- #
-# calendar-queue property tests (seeded in-repo generators)
+# seeded order: the engine vs the oracle under the same tiebreak_seed
+
+
+@pytest.mark.parametrize("tiebreak_seed", [1, 99, 4242, 65535])
+def test_seeded_workload_matches_oracle(on_oracle, tiebreak_seed):
+    """A clean full-stack workload in seeded order: identical traces."""
+    cal = _run_workload(model_b, "lcu", 17, tiebreak_seed=tiebreak_seed)
+    on_oracle()
+    ref = _run_workload(model_b, "lcu", 17, tiebreak_seed=tiebreak_seed)
+    assert (cal["events"], cal["now"], cal["cs"]) == \
+        (ref["events"], ref["now"], ref["cs"])
+    assert cal["trace"] == ref["trace"]
+
+
+def _recording(base):
+    """``base`` with every instance's dispatch order recorded, for runs
+    (nemesis cells) that build their machines out of reach."""
+    class Recording(base):
+        built = []
+
+        def __init__(self, tiebreak_seed=None):
+            super().__init__(tiebreak_seed)
+            self.trace = []
+            self.dispatch = _recorder(self.trace)
+            Recording.built.append(self)
+
+    return Recording
+
+
+NEMESIS_CELLS = [
+    # (algo, model, fault class, matrix seed): every cell runs seeded
+    ("lcu", "A", "crash_core", 0),
+    ("lcu", "A", "partition_links", 2),
+    ("lcu", "B", "zombie_core", 2),
+    ("lcu_fb", "B", "drop", 3),
+    ("mrsw", "A", "preempt", 4),
+]
+
+
+@pytest.mark.parametrize(
+    "algo,model,fault,seed", NEMESIS_CELLS,
+    ids=[f"{a}-{m}-{f}-s{s}" for a, m, f, s in NEMESIS_CELLS],
+)
+def test_seeded_nemesis_cell_matches_oracle(on_oracle, algo, model, fault,
+                                            seed):
+    """Faulted nemesis cells (each with its own tiebreak seed): the same
+    verdict, clocks, CS counts and event-by-event traces on both."""
+    runs = []
+    for base in (Simulator, HeapSimulator):
+        cls = _recording(base)
+        on_oracle(cls)
+        cell = run_cell(algo, model, fault, seed, threads=4, iters=8)
+        sims = cls.built
+        assert sims and all(not s.stable_order for s in sims)
+        runs.append((cell.to_dict(), [(s.now, s.events_processed, s.trace)
+                                      for s in sims]))
+    (cal_cell, cal_sims), (ref_cell, ref_sims) = runs
+    assert cal_cell["outcome"] != "violated"
+    assert cal_cell["injected"] > 0
+    assert cal_cell == ref_cell
+    assert len(cal_sims) == len(ref_sims)
+    for (c_now, c_events, c_trace), (r_now, r_events, r_trace) in zip(
+            cal_sims, ref_sims):
+        assert (c_now, c_events) == (r_now, r_events)
+        assert c_trace == r_trace
+
+
+# --------------------------------------------------------------------- #
+# property tests (seeded in-repo generators) on Simulator.at / run
 
 
 def _oracle_order(pushes):
@@ -184,63 +313,114 @@ def _oracle_order(pushes):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_push_pop_monotone_and_fifo(seed):
-    """Random interleavings of pushes and pops: pops come out in
-    nondecreasing time order, same-cycle pops in push (FIFO) order, and
-    ``size`` tracks exactly."""
+    """Random interleavings of pushes and single-event runs: events come
+    out in nondecreasing time order, same-cycle events in push (FIFO)
+    order — a run stopped mid-bucket resumes it — and the pending count
+    tracks exactly."""
     rng = random.Random(seed * 7919 + 1)
-    q = CalendarQueue()
+    sim = Simulator()
     pushed = []           # (time, tag) in push order
     popped = []
-    clock = 0
-    next_tag = 0
     for _ in range(600):
-        if q.size and rng.random() < 0.4:
-            t, fn = q.pop()
-            assert t >= clock, "pop must never go backwards in time"
-            clock = t
-            popped.append((t, fn))
+        if sim.pending_events and rng.random() < 0.4:
+            clock = sim.now
+            assert sim.run(max_events=1) == 1
+            assert sim.now >= clock, "the clock must never go backwards"
         else:
-            t = clock + rng.randrange(0, 12)
-            tag = next_tag
-            next_tag += 1
-            q.push(t, ("ev", t, tag))
-            pushed.append((t, ("ev", t, tag)))
-        assert len(q) == len(pushed) - len(popped)
-    while q.size:
-        t, fn = q.pop()
-        assert t >= clock
-        clock = t
-        popped.append((t, fn))
-    assert [fn for _t, fn in popped] == _oracle_order(pushed)
+            t = sim.now + rng.randrange(0, 12)
+            tag = ("ev", t, len(pushed))
+            sim.at(t, lambda tag=tag: popped.append((sim.now, tag)))
+            pushed.append((t, tag))
+        assert sim.pending_events == len(pushed) - len(popped)
+    sim.run()
+    assert all(t == tag[1] for t, tag in popped)
+    assert [tag for _t, tag in popped] == _oracle_order(pushed)
+
+
+class _NarrowDraws(random.Random):
+    """A tiebreak RNG whose draws collide often: 2 bits, not 30."""
+
+    def getrandbits(self, k):
+        return super().getrandbits(2)
+
+
+@pytest.mark.parametrize("narrow", [False, True], ids=["draws30", "draws2"])
+@pytest.mark.parametrize("seed", range(4))
+def test_seeded_order_is_sorted_cycle_key_seq(seed, narrow):
+    """Seeded order, with same-cycle and future events scheduled from
+    inside handlers and from outside between runs of random length:
+    every dispatched event is the least pending ``(cycle, draw, seq)``
+    — the draw replayed from a twin of the tiebreak RNG.  Narrow draws
+    make events share a key, so one bucket holds several and a handler
+    often arms a smaller key while its own bucket still has events."""
+    rng = random.Random(seed * 104729 + 5)
+    tb_seed = 1000 + seed
+    rng_cls = _NarrowDraws if narrow else random.Random
+    draws = rng_cls(tb_seed)
+    sim = Simulator(tiebreak_seed=tb_seed)
+    sim._tiebreak = rng_cls(tb_seed)
+    pending = {}          # seq -> (cycle, draw, seq)
+    dispatched = []
+    nested_same_cycle = [0]
+
+    def push(t):
+        seq = len(pending) + len(dispatched)
+        entry = (t, draws.getrandbits(30), seq)
+        pending[seq] = entry
+
+        def event():
+            assert sim.now == entry[0]
+            assert entry == min(pending.values())
+            del pending[seq]
+            dispatched.append(entry)
+            for _ in range(rng.choice((0, 0, 1, 2))):
+                delay = rng.choice((0, 0, 1, 5))
+                nested_same_cycle[0] += delay == 0
+                push(sim.now + delay)
+
+        sim.at(t, event)
+
+    for _ in range(300):
+        if pending and rng.random() < 0.5:
+            sim.run(max_events=rng.randrange(1, 6))
+        else:
+            push(sim.now + rng.randrange(0, 8))
+        assert sim.pending_events == len(pending)
+    sim.run()
+    assert not pending
+    assert nested_same_cycle[0] > 20
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_calendar_agrees_with_reference_store(seed):
-    """Drain both stores over an identical random push schedule."""
+    """Drain the engine and the oracle over an identical random push
+    schedule, in stable and in seeded order."""
     rng = random.Random(seed * 104729 + 3)
-    q = CalendarQueue()
-    ref = ReferenceScheduler()
-    for i in range(500):
-        t = rng.randrange(0, 64)
-        q.push(t, i)
-        ref.push(t, i)
-    out_q = [q.pop() for _ in range(500)]
-    out_ref = [ref.pop() for _ in range(500)]
-    assert out_q == out_ref
+    times = [rng.randrange(0, 64) for _ in range(500)]
+    for tiebreak_seed in (None, seed):
+        out = []
+        for cls in (Simulator, HeapSimulator):
+            sim = cls(tiebreak_seed=tiebreak_seed)
+            order = []
+            for i, t in enumerate(times):
+                sim.at(t, lambda i=i, sim=sim: order.append((sim.now, i)))
+            sim.run()
+            out.append(order)
+        assert out[0] == out[1]
 
 
-def test_bucket_pool_rollover_and_cap():
-    """Drained bucket lists recycle through the pool; the pool never
-    exceeds its cap; recycled buckets come back empty."""
-    q = CalendarQueue(pool_cap=4)
-    for round_ in range(10):
-        for t in range(8):
-            q.push(round_ * 100 + t, ("e", round_, t))
-        while q.size:
-            q.pop()
-        assert len(q.pool) <= 4
-        assert all(b == [] for b in q.pool)
-        assert not q.buckets and not q.times
+def test_drained_buckets_are_deleted():
+    """A drained bucket leaves the store at once, in both orders, so
+    the store holds only what is pending."""
+    for tiebreak_seed in (None, 9):
+        sim = Simulator(tiebreak_seed=tiebreak_seed)
+        cal = sim._cal
+        for round_ in range(10):
+            for t in range(8):
+                sim.at(round_ * 100 + t // 2, lambda: None)
+            assert len(cal.buckets) == len(cal.times) <= 8
+            sim.run()
+            assert not cal.buckets and not cal.times and cal.size == 0
 
 
 def test_batched_advance_skips_empty_cycles():
@@ -274,45 +454,70 @@ def test_signal_cancel_and_rearm():
     assert fired == ["b", "c"]
 
 
+def _same_cycle_order(cls, tiebreak_seed):
+    sim = cls(tiebreak_seed=tiebreak_seed)
+    order = []
+
+    def first():
+        order.append(("first", sim.now))
+        sim.at(sim.now, lambda: order.append(("chained", sim.now)))
+
+    sim.at(7, first)
+    sim.at(7, lambda: order.append(("second", sim.now)))
+    sim.at(8, lambda: order.append(("later", sim.now)))
+    sim.run()
+    return order
+
+
 def test_same_cycle_appends_dispatch_this_cycle():
     """An event scheduled *for the current cycle* from inside a handler
-    joins the tail of the live bucket and runs before time advances —
-    on both stores."""
-    for scheduler in (None, "reference"):
-        sim = Simulator(scheduler=scheduler)
-        order = []
+    runs before time advances — in stable order at the tail of the live
+    bucket, in seeded order wherever its draw puts it (as on the
+    oracle)."""
+    for tiebreak_seed in (None, 1, 2, 3, 4):
+        order = _same_cycle_order(Simulator, tiebreak_seed)
+        assert order == _same_cycle_order(HeapSimulator, tiebreak_seed)
+        assert order[-1] == ("later", 8)
+        assert sorted(order[:3]) == \
+            [("chained", 7), ("first", 7), ("second", 7)]
+        if tiebreak_seed is None:
+            assert [name for name, _t in order] == \
+                ["first", "second", "chained", "later"]
 
-        def first():
-            order.append("first")
-            sim.at(sim.now, lambda: order.append("chained"))
 
-        sim.at(7, first)
-        sim.at(7, lambda: order.append("second"))
-        sim.at(8, lambda: order.append("later"))
+def _raise_and_resume(cls, tiebreak_seed, position):
+    sim = cls(tiebreak_seed=tiebreak_seed)
+    ran = []
+    sim.at(5, lambda: ran.append("a"))
+    sim.at(5, _raiser())
+    if position == "middle":
+        sim.at(5, lambda: ran.append("b"))
+    sim.at(9, lambda: ran.append("tail"))
+    with pytest.raises(RuntimeError, match="boom"):
         sim.run()
-        assert order == ["first", "second", "chained", "later"]
+    left = sim.pending_events
+    # resumable: remaining events drain cleanly
+    sim.run()
+    return ran, left
 
 
 def test_raise_mid_bucket_keeps_store_consistent():
     """A handler raising mid-bucket must leave the queue resumable:
     already-dispatched events gone, the rest still queued — including
-    the corner case where the raiser was the bucket's last event."""
-    for position in ("middle", "last"):
-        sim = Simulator()
-        ran = []
-        sim.at(5, lambda: ran.append("a"))
-        if position == "middle":
-            sim.at(5, self_destruct := _raiser())
-            sim.at(5, lambda: ran.append("b"))
-        else:
-            sim.at(5, self_destruct := _raiser())
-        sim.at(9, lambda: ran.append("tail"))
-        with pytest.raises(RuntimeError, match="boom"):
-            sim.run()
-        # resumable: remaining events drain cleanly
-        sim.run()
-        expect = ["a", "b", "tail"] if position == "middle" else ["a", "tail"]
-        assert ran == expect
+    the corner case where the raiser was the bucket's last event.  In
+    seeded order the raiser's position is the draw's, as on the
+    oracle."""
+    for tiebreak_seed in (None, 0, 1, 2, 3):
+        for position in ("middle", "last"):
+            ran, left = _raise_and_resume(Simulator, tiebreak_seed, position)
+            assert (ran, left) == _raise_and_resume(
+                HeapSimulator, tiebreak_seed, position)
+            expect = (["a", "b", "tail"] if position == "middle"
+                      else ["a", "tail"])
+            assert sorted(ran) == sorted(expect)
+            assert ran[-1] == "tail"
+            if tiebreak_seed is None:
+                assert ran == expect
 
 
 def _raiser():

@@ -15,7 +15,11 @@ import pathlib
 
 import pytest
 
+from repro.check.invariants import InvariantMonitor
+from repro.cpu.machine import Machine
+from repro.cpu.os_sched import OS
 from repro.harness.microbench import run_microbench
+from repro.locks.base import get_algorithm
 from repro.obs.host import (
     HostProfileError,
     HostProfiler,
@@ -37,6 +41,8 @@ from repro.obs.registry import HostTimer, MetricsRegistry
 from repro.obs.report import build_run_report, validate_run_report
 from repro.params import small_test_model
 from repro.sim.engine import SimulationError, Simulator
+
+from .conftest import RWTracker, cs_program
 
 DATA = pathlib.Path(__file__).parent / "data"
 GOLDEN_FOLDED = DATA / "golden_host.folded"
@@ -218,6 +224,73 @@ class TestSlottedDispatchClassification:
         assert sum(d["subsystems"].values()) == d["total_ns"]
 
 
+class TestDispatchSlotAttribution:
+    """The profiler times handlers on the engine's dispatch slot and
+    probe passes on the probe list, in both event orders.  A fake clock
+    that ticks once per read makes every charge exact: a handler spans
+    one tick, a probe pass one tick plus what its probes cost."""
+
+    PROBE_NS = 1000
+
+    @pytest.mark.parametrize("tiebreak_seed", [None, 5])
+    def test_handler_and_probe_charges(self, monkeypatch, tiebreak_seed):
+        ns = [0]
+
+        def tick():
+            ns[0] += 1
+            return ns[0]
+
+        monkeypatch.setattr(HostProfiler, "clock", staticmethod(tick))
+        machine = Machine(small_test_model(), tiebreak_seed=tiebreak_seed)
+        os_ = OS(machine)
+        algo = get_algorithm("lcu")(machine)
+        handle = algo.make_lock()
+        host = HostProfiler()
+        host.attach(machine.sim)
+        # attached after the profiler: its probe is timed all the same
+        monitor = InvariantMonitor(machine, algo)
+        check = monitor._probe
+
+        def costly_probe():
+            ns[0] += self.PROBE_NS
+            check()
+
+        monitor._probe = costly_probe
+        monitor.attach()
+        tracker = RWTracker()
+        for _ in range(4):
+            os_.spawn(cs_program(algo, handle, tracker, 5))
+        os_.run_all(max_cycles=2_000_000)
+        machine.drain()
+        monitor.detach()
+        host.detach()
+
+        assert tracker.total == 20
+        events = machine.sim.events_processed
+        d = host.to_dict()
+        handlers = d["handlers"].values()
+        assert sum(h["events"] for h in handlers) == events
+        assert sum(h["ns"] for h in handlers) == events
+        # probe time is obs, and nothing else is
+        assert d["subsystems"]["obs"] == events * (self.PROBE_NS + 1)
+        # handler time lands on the handlers' own subsystems
+        assert {h["subsystem"] for h in handlers} >= {"net", "lcu", "cpu"}
+        for sub in ("net", "lcu", "cpu"):
+            assert d["subsystems"][sub] == sum(
+                h["ns"] for h in handlers if h["subsystem"] == sub)
+        assert d["subsystems"].get("other", 0) == 0
+        assert sum(d["subsystems"].values()) == d["total_ns"]
+        # detached: the slot is free and the probe list is a plain list
+        assert machine.sim.dispatch is None
+        assert type(machine.sim._probes) is list
+
+    def test_other_dispatcher_blocks_attach(self):
+        sim = Simulator()
+        sim.dispatch = lambda now, fn: fn()
+        with pytest.raises(SimulationError):
+            HostProfiler().attach(sim)
+
+
 class TestAttachDetach:
     def test_double_attach_same_profiler_is_an_error(self):
         sim = Simulator()
@@ -235,7 +308,7 @@ class TestAttachDetach:
         host.attach(sim)
         host.detach()
         host.detach()
-        assert sim._host is None
+        assert sim.dispatch is None
 
     def test_accumulates_across_sims(self):
         # app runner re-attaches one profiler to each seed's fresh sim
@@ -262,10 +335,10 @@ class TestAttachDetach:
 
 class TestOverheadGuard:
     def test_run_loop_unchanged_without_profiler(self):
-        # with --host-prof off the engine takes the plain loop: no
-        # profiler object, no charge calls, just one falsy check
+        # with --host-prof off the dispatch slot is empty: no profiler
+        # object, no charge calls, just one None-check per event
         sim = Simulator()
-        assert sim._host is None
+        assert sim.dispatch is None
         fired = []
         sim.at(5, lambda: fired.append(sim.now))
         sim.run()
