@@ -9,7 +9,7 @@ the protocol the same way the paper draws it.
 from repro import Machine, OS, small_test_model
 from repro.cpu import ops
 from repro.lcu import api
-from repro.sim.trace import Tracer
+from repro.obs import Tracer
 
 
 def scenario(title, build):
@@ -18,12 +18,14 @@ def scenario(title, build):
     print("=" * 72)
     machine = Machine(small_test_model())
     addr = machine.alloc.alloc_line()
-    tracer = Tracer.attach(machine, addr_filter={addr})
+    tracer = Tracer.attach(machine)
     os_ = OS(machine)
     build(machine, os_, addr)
     os_.run_all()
     machine.drain()
-    print(tracer.render())
+    print(tracer.render(
+        r for r in tracer.records if getattr(r.payload, "addr", None) == addr
+    ))
     print()
 
 

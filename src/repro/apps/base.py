@@ -120,8 +120,6 @@ def run_app(
             run_tracer.attach(machine)
         run_fairness = fairness if run_idx == 0 else None
         if run_fairness is not None:
-            # after the tracer: its flight-recorder ring wraps net.send
-            # on top and finish_run unwinds LIFO
             run_fairness.attach_machine(machine)
             run_fairness.attach_algorithm(algo)
             if registry is not None:

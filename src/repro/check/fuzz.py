@@ -285,8 +285,6 @@ def run_case(
     algo = algo_cls(machine)
     handles = [algo.make_lock() for _ in range(max(1, case.locks))]
     if span_tracer is not None:
-        # before the monitor: its own message tracer wraps net.send on
-        # top, and wrappers must unwind in LIFO order
         span_tracer.attach(machine)
     monitor = InvariantMonitor(machine, algo, span_tracer=span_tracer)
     monitor.os = os_  # excuse overtakes of stall-frozen threads

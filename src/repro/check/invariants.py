@@ -1,14 +1,15 @@
 """Continuous invariant monitoring for lock-protocol simulations.
 
 The :class:`InvariantMonitor` attaches to a machine through the same
-pull-based hooks the telemetry layer uses — an engine probe
-(:meth:`repro.sim.engine.Simulator.add_probe`), the LCU/LRT ``observer``
-callbacks, and :meth:`repro.locks.base.LockAlgorithm.add_observer` — so
-every grant, transfer, timeout and software-level acquire/release is
-visible to it while the simulation runs.  Any breach raises a structured
+hooks the telemetry layer uses — an engine probe
+(:meth:`repro.sim.engine.Simulator.add_probe`), the ``lcu`` and ``lrt``
+topics of the probe bus (:mod:`repro.sim.bus`), and
+:meth:`repro.locks.base.LockAlgorithm.add_observer` — so every grant,
+transfer, timeout and software-level acquire/release is visible to it
+while the simulation runs.  Any breach raises a structured
 :class:`InvariantViolation` carrying the invariant name, the event time
 and a window of the most recent protocol messages (captured with a
-bounded :class:`repro.sim.trace.Tracer`).
+bounded :class:`repro.obs.spans.Tracer` on the ``net`` topic).
 
 Invariants checked:
 
@@ -37,7 +38,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.lcu.entry import ACQ, RCV, WAIT
-from repro.sim.trace import Tracer
+from repro.obs.spans import Tracer
 
 
 class InvariantViolation(RuntimeError):
@@ -389,11 +390,10 @@ class InvariantMonitor:
         if self._attached:
             return self
         self._ring = Tracer.attach(self.machine, capacity=self.history)
-        self.machine.sim.add_probe(self._probe)
-        for lcu in self.machine.lcus:
-            lcu.observer = self._on_hw_event
-        for lrt in self.machine.lrts:
-            lrt.observer = self._on_hw_event
+        sim = self.machine.sim
+        sim.add_probe(self._probe)
+        sim.bus.lcu.append(self._on_hw_event)
+        sim.bus.lrt.append(self._on_hw_event)
         if self.algo is not None:
             self.algo.add_observer(self._on_lock_event)
         self._attached = True
@@ -402,13 +402,10 @@ class InvariantMonitor:
     def detach(self) -> None:
         if not self._attached:
             return
-        self.machine.sim.remove_probe(self._probe)
-        for lcu in self.machine.lcus:
-            if lcu.observer is self._on_hw_event:
-                lcu.observer = None
-        for lrt in self.machine.lrts:
-            if lrt.observer is self._on_hw_event:
-                lrt.observer = None
+        sim = self.machine.sim
+        sim.remove_probe(self._probe)
+        sim.bus.lcu.remove(self._on_hw_event)
+        sim.bus.lrt.remove(self._on_hw_event)
         if self.algo is not None:
             self.algo.remove_observer(self._on_lock_event)
         if self._ring is not None:

@@ -114,8 +114,6 @@ def run_microbench(
         profiler.attach_machine(machine)
         profiler.attach_algorithm(algo)
     if fairness is not None:
-        # after the tracer: the observatory's flight-recorder ring wraps
-        # net.send on top and finish_run detaches it first (LIFO)
         fairness.attach_machine(machine)
         fairness.attach_algorithm(algo)
         if registry is not None:

@@ -120,26 +120,13 @@ class LockControlUnit:
         }
         #: most entries simultaneously in use (table-pressure telemetry)
         self.entries_highwater = 0
-        #: optional hook ``fn(event, addr, tid, write)`` fired on every
-        #: grant-level protocol action ("acquire", "release", "grant",
-        #: "transfer", "timeout") — the attachment point for
-        #: :class:`repro.check.invariants.InvariantMonitor`
-        self.observer: Optional[Callable[[str, int, int, bool], None]] = None
-        #: optional timestamp hook ``fn(event, addr, tid, write)`` fired at
-        #: phase boundaries ("req_sent", "grant_sent", "grant_recv") — the
-        #: attachment point for
-        #: :class:`repro.obs.profile.ContentionProfiler`.  Kept separate
-        #: from :attr:`observer` so the conformance monitor and the
-        #: profiler can coexist.
-        self.probe: Optional[Callable[[str, int, int, bool], None]] = None
+        #: the bus's ``lcu`` topic (see :mod:`repro.sim.bus`)
+        self._subs = sim.bus.lcu
 
-    def _observe(self, event: str, addr: int, tid: int, write: bool) -> None:
-        if self.observer is not None:
-            self.observer(event, addr, tid, write)
-
-    def _probe(self, event: str, addr: int, tid: int, write: bool) -> None:
-        if self.probe is not None:
-            self.probe(event, addr, tid, write)
+    def _emit(self, event: str, addr: int, tid: int, write: bool) -> None:
+        if self._subs:
+            for fn in self._subs:
+                fn(event, addr, tid, write)
 
     # ------------------------------------------------------------------ #
     # plumbing
@@ -280,7 +267,7 @@ class LockControlUnit:
         self.stats["forced_evictions"] = (
             self.stats.get("forced_evictions", 0) + 1
         )
-        self._observe("evict", addr, tid, e.write)
+        self._emit("evict", addr, tid, e.write)
         # Tombstone until the queue is reclaimed: the dead node is still
         # linked at the LRT, so a re-request now would put the same
         # (lcu, tid) in the queue twice.  Must happen before _free — the
@@ -378,7 +365,7 @@ class LockControlUnit:
                 self.stats["crash_releases"] = (
                     self.stats.get("crash_releases", 0) + 1
                 )
-                self._observe("release", e.addr, e.tid, e.write)
+                self._emit("release", e.addr, e.tid, e.write)
                 self._release_entry(e)
         for addr in [
             a for a, (tid, _w, _g) in self._flt.items() if tid in dead
@@ -398,7 +385,7 @@ class LockControlUnit:
             self.stats["crash_releases"] = (
                 self.stats.get("crash_releases", 0) + 1
             )
-            self._observe("release", addr, tid, write)
+            self._emit("release", addr, tid, write)
             self._send_lrt(
                 addr,
                 self._release_msg(
@@ -417,7 +404,7 @@ class LockControlUnit:
             self.stats["crash_releases"] = (
                 self.stats.get("crash_releases", 0) + 1
             )
-            self._observe("release", addr, tid, False)
+            self._emit("release", addr, tid, False)
             self._send_lrt(
                 addr, msg.ReleaseMsg(addr, Who(tid, self.lcu_id, False), True)
             )
@@ -460,7 +447,7 @@ class LockControlUnit:
                 self._held_gen[key] = (parked[2], parked[1])
                 self.stats["flt_hits"] = self.stats.get("flt_hits", 0) + 1
                 self.stats["acquires"] += 1
-                self._observe("acquire", addr, tid, write)
+                self._emit("acquire", addr, tid, write)
                 return True
             e = self._alloc(addr, tid, write)
             if e is None:
@@ -468,7 +455,7 @@ class LockControlUnit:
             e.status = ISSUED
             self._req_seq += 1
             e.req_seq = self._req_seq
-            self._probe("req_sent", addr, tid, write)
+            self._emit("req_sent", addr, tid, write)
             self._send_lrt(
                 addr,
                 msg.Request(
@@ -484,7 +471,7 @@ class LockControlUnit:
         if e.status == RCV and not e.pending_ovf:
             e.timer_seq += 1  # cancel the grant timer
             self.stats["acquires"] += 1
-            self._observe("acquire", addr, tid, write)
+            self._emit("acquire", addr, tid, write)
             if e.overflow:
                 # Overflow readers do not join the queue; remember the
                 # grant so the release can be tagged, then free the entry.
@@ -501,7 +488,7 @@ class LockControlUnit:
             # Local re-acquisition of a silently-released read lock.
             e.status = ACQ
             self.stats["acquires"] += 1
-            self._observe("acquire", addr, tid, write)
+            self._emit("acquire", addr, tid, write)
             return True
         return False
 
@@ -523,7 +510,7 @@ class LockControlUnit:
                 self._flt[addr] = (tid, write, self._held_gen.pop(key)[0])
                 self.stats["flt_parks"] = self.stats.get("flt_parks", 0) + 1
                 self.stats["releases"] += 1
-                self._observe("release", addr, tid, write)
+                self._emit("release", addr, tid, write)
                 return True
             # Uncontended lock, overflow-mode grant, or migrated thread:
             # re-allocate an entry and tell the LRT (paper III-A / III-C).
@@ -535,7 +522,7 @@ class LockControlUnit:
             e.overflow = overflow
             e.gen = self._held_gen.pop(key, (0, write))[0]
             self.stats["releases"] += 1
-            self._observe("release", addr, tid, write)
+            self._emit("release", addr, tid, write)
             self._send_lrt(
                 addr,
                 self._release_msg(
@@ -545,7 +532,7 @@ class LockControlUnit:
             return True
         if e.status == ACQ and e.write == write:
             self.stats["releases"] += 1
-            self._observe("release", addr, tid, write)
+            self._emit("release", addr, tid, write)
             self._release_entry(e)
             return True
         if e.status in (ISSUED, WAIT, RCV, RD_REL):
@@ -556,7 +543,7 @@ class LockControlUnit:
             # LRT's queue walk without touching the stale node — it will
             # self-heal via the grant timer when its grant arrives.
             self.stats["releases"] += 1
-            self._observe("release", addr, tid, write)
+            self._emit("release", addr, tid, write)
             self._send_lrt(
                 addr, msg.ReleaseMsg(addr, Who(tid, self.lcu_id, write), False)
             )
@@ -577,7 +564,7 @@ class LockControlUnit:
         e.status = ISSUED
         self._req_seq += 1
         e.req_seq = self._req_seq
-        self._probe("req_sent", addr, tid, write)
+        self._emit("req_sent", addr, tid, write)
         self._send_lrt(
             addr,
             msg.Request(
@@ -618,8 +605,8 @@ class LockControlUnit:
         nxt = e.next
         assert nxt is not None
         self.stats["transfers"] += 1
-        self._observe("transfer", e.addr, nxt.tid, nxt.write)
-        self._probe("grant_sent", e.addr, nxt.tid, nxt.write)
+        self._emit("transfer", e.addr, nxt.tid, nxt.write)
+        self._emit("grant_sent", e.addr, nxt.tid, nxt.write)
         self._send_lcu(
             nxt.lcu,
             msg.Grant(
@@ -652,7 +639,7 @@ class LockControlUnit:
             self._arm_timer(e)
             return
         self.stats["timeouts"] += 1
-        self._observe("timeout", addr, tid, e.write)
+        self._emit("timeout", addr, tid, e.write)
         if e.overflow:
             e.status = REL
             self._send_lrt(
@@ -720,7 +707,7 @@ class LockControlUnit:
                 raise ProtocolError(f"overflow grant in status {e.status}")
             e.status = RCV
             e.overflow = True
-            self._probe("grant_recv", m.addr, m.tid, e.write)
+            self._emit("grant_recv", m.addr, m.tid, e.write)
             self._arm_timer(e)
             self._fire(m.addr, m.tid)
             return
@@ -731,7 +718,7 @@ class LockControlUnit:
                 raise ProtocolError(f"share grant to writer entry {e!r}")
             if e.status in (ISSUED, WAIT):
                 e.status = RCV
-                self._probe("grant_recv", m.addr, m.tid, e.write)
+                self._emit("grant_recv", m.addr, m.tid, e.write)
                 self._arm_timer(e)
                 self._propagate_share(e)
                 self._fire(m.addr, m.tid)
@@ -748,7 +735,7 @@ class LockControlUnit:
         if e.status in (ISSUED, WAIT):
             e.status = RCV
             e.head = True
-            self._probe("grant_recv", m.addr, m.tid, e.write)
+            self._emit("grant_recv", m.addr, m.tid, e.write)
             self._arm_timer(e)
             if not m.from_lrt:
                 self._notify_head(e)
@@ -766,7 +753,7 @@ class LockControlUnit:
         elif e.status == RD_REL:
             # Token bypasses a silently-released intermediate reader.
             if e.next is not None:
-                self._probe("grant_sent", e.addr, e.next.tid, e.next.write)
+                self._emit("grant_sent", e.addr, e.next.tid, e.next.write)
                 self._send_lcu(
                     e.next.lcu,
                     msg.Grant(
@@ -803,7 +790,7 @@ class LockControlUnit:
 
     def _propagate_share(self, e: LcuEntry) -> None:
         if e.next is not None and not e.next.write:
-            self._probe("grant_sent", e.addr, e.next.tid, False)
+            self._emit("grant_sent", e.addr, e.next.tid, False)
             self._send_lcu(
                 e.next.lcu,
                 msg.Grant(e.addr, e.next.tid, head=False, gen=e.gen),
@@ -856,7 +843,7 @@ class LockControlUnit:
             del self._flt[m.addr]
             self.stats["transfers"] += 1
             gen = max(parked[2], m.gen) + 1
-            self._probe("grant_sent", m.addr, m.req.tid, m.req.write)
+            self._emit("grant_sent", m.addr, m.req.tid, m.req.write)
             self._send_lcu(
                 m.req.lcu,
                 msg.Grant(
@@ -917,7 +904,7 @@ class LockControlUnit:
             # Release/enqueue race (paper III-A): hand the lock straight
             # to the forwarded requestor.
             self.stats["transfers"] += 1
-            self._probe("grant_sent", m.addr, m.req.tid, m.req.write)
+            self._emit("grant_sent", m.addr, m.req.tid, m.req.write)
             self._send_lcu(
                 m.req.lcu,
                 msg.Grant(
@@ -939,7 +926,7 @@ class LockControlUnit:
             and e.status in (RCV, ACQ, RD_REL)
         ):
             # Tail holds (or is inside) an active read run: share the lock.
-            self._probe("grant_sent", m.addr, m.req.tid, False)
+            self._emit("grant_sent", m.addr, m.req.tid, False)
             self._send_lcu(
                 m.req.lcu,
                 msg.Grant(m.addr, m.req.tid, head=False, gen=e.gen),
@@ -1083,7 +1070,7 @@ class LockControlUnit:
                 # the new era; a "evict" event widens the fairness
                 # oracle's overtake budget for the queue jump.
                 if e.status in (ISSUED, WAIT):
-                    self._observe("evict", addr, tid, e.write)
+                    self._emit("evict", addr, tid, e.write)
                 self.stats["reset_freed"] = (
                     self.stats.get("reset_freed", 0) + 1
                 )
@@ -1113,7 +1100,7 @@ class LockControlUnit:
                 # A granted writer still awaiting OvfClear: its clearance
                 # died with the old era.  It never held the lock — drop
                 # it and let the thread re-request.
-                self._observe("evict", addr, tid, e.write)
+                self._emit("evict", addr, tid, e.write)
                 self.stats["reset_freed"] = (
                     self.stats.get("reset_freed", 0) + 1
                 )

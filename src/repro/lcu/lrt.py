@@ -226,22 +226,13 @@ class LockReservationTable:
         #: most locks simultaneously live (table + overflow) — the
         #: occupancy telemetry behind the spill/refill behaviour
         self.live_locks_highwater = 0
-        #: optional hook ``fn(event, addr, tid, write)`` fired on queue
-        #: decisions ("grant", "overflow_grant", "forward", "retry") —
-        #: the attachment point for the invariant monitor
-        self.observer: Optional[Callable[[str, int, int, bool], None]] = None
-        #: optional timestamp hook ``fn(event, addr, tid, write)`` fired
-        #: at phase boundaries ("enqueue", "grant_sent") — the attachment
-        #: point for :class:`repro.obs.profile.ContentionProfiler`
-        self.probe: Optional[Callable[[str, int, int, bool], None]] = None
+        #: the bus's ``lrt`` topic (see :mod:`repro.sim.bus`)
+        self._subs = sim.bus.lrt
 
-    def _observe(self, event: str, addr: int, tid: int, write: bool) -> None:
-        if self.observer is not None:
-            self.observer(event, addr, tid, write)
-
-    def _probe(self, event: str, addr: int, tid: int, write: bool) -> None:
-        if self.probe is not None:
-            self.probe(event, addr, tid, write)
+    def _emit(self, event: str, addr: int, tid: int, write: bool) -> None:
+        if self._subs:
+            for fn in self._subs:
+                fn(event, addr, tid, write)
 
     # ------------------------------------------------------------------ #
     # table management
@@ -678,7 +669,7 @@ class LockReservationTable:
                 self.stats.get("reset_reseats", 0) + 1
             )
         e.reset_survivor = None
-        # Era-close notification for the invariant monitor: the acks
+        # Era-close notification for bus subscribers: the acks
         # enumerated every hold that survived the reclaim at a live LCU
         # ("survivor" events), and anything else still believing it
         # holds this lock is a zombie — fenced out when fencing is
@@ -688,7 +679,7 @@ class LockReservationTable:
         victim = e.reclaim_victim
         e.reclaim_victim = None
         if (
-            self.observer is not None
+            self._subs
             and victim is not None
             and victim.lcu not in self._dead_cores
         ):
@@ -697,8 +688,8 @@ class LockReservationTable:
             if seated is not None:
                 survivors.add(seated)
             for t in sorted(survivors):
-                self._observe("survivor", e.addr, t, t == seated)
-            self._observe(
+                self._emit("survivor", e.addr, t, t == seated)
+            self._emit(
                 "fenced" if self._fencing else "reclaim",
                 e.addr, victim.tid, victim.write,
             )
@@ -760,7 +751,7 @@ class LockReservationTable:
             e = self._install(m.addr)
             e.head = e.tail = req
             e.gen += 1
-            self._probe("enqueue", m.addr, req.tid, req.write)
+            self._emit("enqueue", m.addr, req.tid, req.write)
             self._grant(req, m.addr, head=True, gen=e.gen)
             return
 
@@ -781,7 +772,7 @@ class LockReservationTable:
             e.head = e.tail = req
             e.gen += 1
             confirm = req.write and e.reader_cnt > 0
-            self._probe("enqueue", m.addr, req.tid, req.write)
+            self._emit("enqueue", m.addr, req.tid, req.write)
             self._grant(req, m.addr, head=True, gen=e.gen, confirm=confirm)
             return
 
@@ -801,9 +792,9 @@ class LockReservationTable:
                 # Overflow-mode read grant: no queue membership.
                 e.reader_cnt += 1
                 self.stats["overflow_grants"] += 1
-                self._observe("overflow_grant", m.addr, req.tid, req.write)
-                self._probe("enqueue", m.addr, req.tid, req.write)
-                self._probe("grant_sent", m.addr, req.tid, req.write)
+                self._emit("overflow_grant", m.addr, req.tid, req.write)
+                self._emit("enqueue", m.addr, req.tid, req.write)
+                self._emit("grant_sent", m.addr, req.tid, req.write)
                 self._send_lcu(
                     req.lcu,
                     msg.Grant(
@@ -841,8 +832,8 @@ class LockReservationTable:
             # decisions are serialized at the LRT, and any later writer
             # enqueues behind this reader.)
             self.stats["grants"] += 1
-            self._observe("grant", m.addr, req.tid, req.write)
-            self._probe("grant_sent", m.addr, req.tid, req.write)
+            self._emit("grant", m.addr, req.tid, req.write)
+            self._emit("grant_sent", m.addr, req.tid, req.write)
             self._send_lcu(
                 req.lcu,
                 msg.Grant(m.addr, req.tid, head=False, gen=e.gen,
@@ -856,8 +847,8 @@ class LockReservationTable:
     ) -> None:
         assert e.tail is not None
         self.stats["forwards"] += 1
-        self._observe("forward", addr, req.tid, req.write)
-        self._probe("enqueue", addr, req.tid, req.write)
+        self._emit("forward", addr, req.tid, req.write)
+        self._emit("enqueue", addr, req.tid, req.write)
         fwd = msg.FwdRequest(
             addr=addr,
             tail_tid=e.tail.tid,
@@ -913,8 +904,8 @@ class LockReservationTable:
         self, req: Who, addr: int, head: bool, gen: int, confirm: bool = False
     ) -> None:
         self.stats["grants"] += 1
-        self._observe("grant", addr, req.tid, req.write)
-        self._probe("grant_sent", addr, req.tid, req.write)
+        self._emit("grant", addr, req.tid, req.write)
+        self._emit("grant_sent", addr, req.tid, req.write)
         e = self.entry(addr)
         lease = self._lease_stamp(e) if e is not None else 0
         self._send_lcu(
@@ -928,7 +919,7 @@ class LockReservationTable:
 
     def _retry(self, req: Who, addr: int, seq: int = 0) -> None:
         self.stats["retries"] += 1
-        self._observe("retry", addr, req.tid, req.write)
+        self._emit("retry", addr, req.tid, req.write)
         self._send_lcu(req.lcu, msg.Retry(addr, req.tid, seq=seq))
 
     # ------------------------------------------------------------------ #

@@ -147,10 +147,9 @@ class Network:
         #: same-cycle arrival inversions healed by the per-pair FIFO stage
         #: (only ever non-zero under a perturbed ``tiebreak_seed``)
         self.reorders_healed = 0
-        #: optional hook ``fn(src, dst, payload, inter_chip)`` observing
-        #: every injection — the profiler's per-lock message attribution
-        #: point (payloads carrying an ``addr`` identify their lock)
-        self.probe: Optional[Callable[[Endpoint, Endpoint, Any, bool], None]] = None
+        #: the bus's ``net`` topic (see :mod:`repro.sim.bus`), published
+        #: once per logical :meth:`send`
+        self._subs = sim.bus.net
         #: fault-injection hook (see module docstring); None == no faults
         self.fault_filter: Optional[FaultFilter] = None
         # reliable-delivery layer (repro.net.reliable); None == raw wire
@@ -218,18 +217,49 @@ class Network:
         given) runs right after it.  Self-sends are delivered after one
         cycle without touching the fabric.
 
-        This is the *logical* send: tracers wrap it, and the reliable
-        layer (when armed) takes over from here.  Frames, acks and
-        retransmissions enter below it through :meth:`_inject`.
+        This is the *logical* send: ``net`` bus subscribers see it here,
+        and the reliable layer (when armed) takes over from here.
+        Frames, acks and retransmissions enter below it through
+        :meth:`_inject`.
         """
         if dst not in self._handlers:
             raise KeyError(f"no handler registered for endpoint {dst}")
+        if self._subs:
+            on_deliver = self._publish(src, dst, payload, on_deliver)
         if self._reliable is not None and self._reliable.covers(
             src, dst, payload
         ):
             self._reliable.send(src, dst, payload, on_deliver)
             return
         self._inject(src, dst, payload, on_deliver)
+
+    def _publish(
+        self,
+        src: Endpoint,
+        dst: Endpoint,
+        payload: Any,
+        on_deliver: Optional[Callable[[], None]],
+    ) -> Optional[Callable[[], None]]:
+        """Tell every ``net`` subscriber about one send.  Returns the
+        delivery continuation: the callables subscribers returned, in
+        subscription order, then the sender's own ``on_deliver``."""
+        after = []
+        for sub in self._subs:
+            fn = sub(src, dst, payload)
+            if fn is not None:
+                after.append(fn)
+        if not after:
+            return on_deliver
+        if on_deliver is not None:
+            after.append(on_deliver)
+        elif len(after) == 1:
+            return after[0]
+
+        def run_after() -> None:
+            for fn in after:
+                fn()
+
+        return run_after
 
     # ------------------------------------------------------------------ #
     # wire layer
@@ -243,11 +273,6 @@ class Network:
     ) -> None:
         """Put one message on the wire (fault filter applies here)."""
         self.messages_sent += 1
-        if self.probe is not None:
-            self.probe(
-                src, dst, payload,
-                src != dst and self._chip_of(src) != self._chip_of(dst),
-            )
 
         if self.fault_filter is not None and src != dst:
             for extra_delay, copy in list(

@@ -5,9 +5,10 @@ The observability layer of the reproduction (see README "Observability"):
 * :mod:`repro.obs.registry` — :class:`MetricsRegistry`: hierarchical
   counters / gauges / histograms with deterministic time-series gauge
   sampling driven by simulator events.
-* :mod:`repro.obs.spans` — :class:`SpanTracer`: interval tracing
-  (lock-held windows, message flights, transactions) exported as Chrome
-  trace-event JSON, loadable in Perfetto.
+* :mod:`repro.obs.spans` — :class:`Tracer`: a bounded ring of network
+  sends (the protocol flight recorder); :class:`SpanTracer`: interval
+  tracing (lock-held windows, message flights, transactions) exported
+  as Chrome trace-event JSON, loadable in Perfetto.
 * :mod:`repro.obs.report` — the versioned ``RunReport`` JSON schema the
   harness emits (``--metrics-out``) and the CLI validates
   (``python -m repro report``).
@@ -80,11 +81,17 @@ from repro.obs.report import (
     validate_run_report,
     write_run_report,
 )
-from repro.obs.spans import Span, SpanError, SpanTracer, validate_chrome_trace
+from repro.obs.spans import (
+    Span,
+    SpanError,
+    SpanTracer,
+    Tracer,
+    validate_chrome_trace,
+)
 
 __all__ = [
     "MetricsRegistry", "Counter", "Gauge", "HostTimer", "MetricError",
-    "SpanTracer", "Span", "SpanError", "validate_chrome_trace",
+    "SpanTracer", "Span", "SpanError", "validate_chrome_trace", "Tracer",
     "build_run_report", "validate_run_report", "write_run_report",
     "load_run_report", "summarize_run_report", "ReportValidationError",
     "RUN_REPORT_SCHEMA", "RUN_REPORT_VERSION", "RUN_REPORT_KINDS",

@@ -19,10 +19,10 @@ Three layers, all passive:
   can never disagree about what an overtake is.
 * :class:`FairnessObservatory` — attaches to the observer events of any
   :class:`~repro.locks.base.LockAlgorithm` (the same surface the
-  conformance monitor uses) plus the machine's probe surfaces: a bounded
-  :class:`~repro.sim.trace.Tracer` ring over the network (the *flight
+  conformance monitor uses) plus two probe-bus topics: a bounded
+  :class:`~repro.obs.spans.Tracer` ring on ``net`` (the *flight
   recorder* snapshotted into every :class:`StarvationAlert`) and the
-  SSB's ``probe`` attr (retry-storm attribution).  It maintains per-lock
+  ``ssb`` topic (retry-storm attribution).  It maintains per-lock
   per-mode wait histograms (p50/p99/p999), a sliding completion window
   feeding live Jain-index / writer-share gauges, a longest-outstanding-
   waiter starvation watchdog, and per-lock SLO time-in-violation.
@@ -33,7 +33,7 @@ Three layers, all passive:
   :class:`~repro.obs.registry.MetricsRegistry`, which is what makes
   fairness data survive the multiprocess ``repro sweep`` merge.
 
-Zero-cost contract: everything here runs on the *host* side of probe and
+Zero-cost contract: everything here runs on the *host* side of bus and
 observer callbacks.  Nothing schedules simulator events, so attaching an
 observatory leaves simulated cycle counts bit-identical (pinned by the
 overhead-guard test and by ``repro fairness``'s own first-cell check).
@@ -45,8 +45,8 @@ import dataclasses
 from collections import deque
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
+from repro.obs.spans import Tracer
 from repro.sim.stats import Histogram, jain_fairness
-from repro.sim.trace import Tracer
 
 FAIRNESS_SCHEMA = "repro.fairness"
 FAIRNESS_VERSION = 1
@@ -322,8 +322,6 @@ class FairnessObservatory:
         self._algos: List[Tuple[Any, Any]] = []   # (algo, observer fn)
         self._ring: Optional[Tracer] = None
         self._machine = None
-        self._ssb = None
-        self._ssb_prev_probe = None
         #: (sim time, tid, write) completions inside the sliding window
         self._window_events: deque = deque()
 
@@ -331,16 +329,10 @@ class FairnessObservatory:
 
     def attach_machine(self, machine) -> "FairnessObservatory":
         """Install the flight-recorder ring (a bounded network tracer)
-        and the SSB probe.  Deliberately does *not* claim the LCU/LRT
-        probe attrs — those belong to the contention profiler, and the
-        observatory must co-exist with it on the same run."""
+        and subscribe to the ``ssb`` bus topic."""
         self._machine = machine
         self._ring = Tracer.attach(machine, capacity=self.ring_capacity)
-        ssb = getattr(machine, "ssb", None)
-        if ssb is not None and hasattr(ssb, "probe"):
-            self._ssb = ssb
-            self._ssb_prev_probe = ssb.probe
-            ssb.probe = self._on_ssb_probe
+        machine.sim.bus.ssb.append(self._on_ssb_probe)
         return self
 
     def attach_algorithm(self, algo, name: Optional[str] = None
@@ -358,19 +350,18 @@ class FairnessObservatory:
         return self
 
     def detach(self) -> None:
-        """Remove every observer/probe and the flight recorder.  Runs a
-        final watchdog pass so waiters still starving at the end of the
-        run are reported even if no further event would have fired."""
+        """Remove every observer, the bus subscription and the flight
+        recorder.  Runs a final watchdog pass so waiters still starving
+        at the end of the run are reported even if no further event
+        would have fired."""
         if self._machine is not None:
             now = self._machine.sim.now
             for st in self._locks.values():
                 self._check_starvation(st, now)
+            self._machine.sim.bus.ssb.remove(self._on_ssb_probe)
         for algo, fn in self._algos:
             algo.remove_observer(fn)
         self._algos.clear()
-        if self._ssb is not None:
-            self._ssb.probe = self._ssb_prev_probe
-            self._ssb = self._ssb_prev_probe = None
         if self._ring is not None:
             self._ring.detach()
         self._machine = None
@@ -454,8 +445,6 @@ class FairnessObservatory:
             st = self._locks.get(addr)
             if st is not None:
                 st.ssb_failed_acquires += 1
-        if self._ssb_prev_probe is not None:
-            self._ssb_prev_probe(event, addr, tid, write)
 
     # -- watchdog -------------------------------------------------------- #
 

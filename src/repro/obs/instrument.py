@@ -184,13 +184,12 @@ def finish_run(
     fairness=None,
 ) -> None:
     """Common post-run teardown used by the harness entry points: stop
-    gauge sampling, take a final sample, harvest counters, drop in-flight
-    message spans, unwrap the fairness observatory's flight recorder and
-    the tracer (in that order — the ring wraps ``net.send`` on top of
-    the tracer, and unwrapping is LIFO), publish fairness counters into
-    the registry and detach the contention/host profilers (the host
-    profiler folds the engine's event-queue stats into itself on
-    detach)."""
+    gauge sampling, take a final sample, harvest counters, detach the
+    fairness observatory and publish its counters into the registry,
+    drop in-flight message spans, and detach the tracer and the
+    contention/host profilers (the host profiler folds the engine's
+    event-queue stats into itself on detach).  Every sink leaves the
+    probe bus on its own, so the order is free."""
     if registry is not None:
         if registry.is_sampling:
             registry.sample(machine.sim.now)

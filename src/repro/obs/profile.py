@@ -6,12 +6,11 @@ every lock acquisition into the paper's transfer pipeline,
 
     enqueue -> queue_wait -> transfer -> handoff -> critical_section
 
-using timestamp *probes* fired by the hardware models themselves
-(:class:`~repro.lcu.lcu.LockControlUnit`,
-:class:`~repro.lcu.lrt.LockReservationTable`,
-:class:`~repro.net.network.Network`) plus the lock-algorithm observer
-events of :class:`~repro.locks.base.LockAlgorithm` — no span-name string
-parsing anywhere.  Phase boundaries, per acquisition of thread *t*:
+using timestamp events the hardware models publish on the probe bus
+(:mod:`repro.sim.bus`: the ``lcu``, ``lrt`` and ``net`` topics) plus the
+lock-algorithm observer events of
+:class:`~repro.locks.base.LockAlgorithm` — no span-name string parsing
+anywhere.  Phase boundaries, per acquisition of thread *t*:
 
     t0  request   thread enters the acquire path (observer "request")
     t1  enqueue   the home LRT accepts the request into the queue
@@ -34,8 +33,8 @@ Besides the decomposition the profiler keeps, per lock:
 * a queue-depth timeline — ``(t, waiting_readers, waiting_writers,
   holders)`` at every state change — plus time-weighted means;
 * protocol-message attribution (count / inter-chip crossings / by type)
-  via the network probe, keyed on the ``addr`` field every LCU/LRT
-  message carries;
+  per logical send on the ``net`` topic, keyed on the ``addr`` field
+  every LCU/LRT message carries;
 * the serialization **critical path**: the alternating
   critical-section / handoff edge chain in grant order, with top-N
   edges by cost.
@@ -170,16 +169,17 @@ class ContentionProfiler:
     Usage (the harness does this when ``profiler=`` is passed)::
 
         prof = ContentionProfiler()
-        prof.attach_machine(machine)        # LCU + LRT + network probes
+        prof.attach_machine(machine)        # lcu / lrt / net bus topics
         prof.attach_algorithm(algo, "lcu")  # thread-level request/acquire
         ... run ...
         prof.detach()
         print(prof.summarize())
         report["profile"] = prof.to_dict()
 
-    Probes are passive: they never schedule events or send messages, so
-    the simulated cycle counts of a profiled run are identical to an
-    unprofiled one (``BENCH_profile.json`` tracks the host-time cost).
+    Subscribers are passive: they never schedule events or send
+    messages, so the simulated cycle counts of a profiled run are
+    identical to an unprofiled one (``BENCH_profile.json`` tracks the
+    host-time cost).
     """
 
     def __init__(self, max_timeline: int = 20_000) -> None:
@@ -195,16 +195,16 @@ class ContentionProfiler:
     # attachment
 
     def attach_machine(self, machine) -> "ContentionProfiler":
-        """Install LCU / LRT / network probes on ``machine``.  Replaces
-        any previous attachment (one machine at a time)."""
+        """Subscribe to ``machine``'s ``lcu``, ``lrt`` and ``net`` bus
+        topics.  Replaces any previous attachment (one machine at a
+        time)."""
         self.detach_machine()
         self._machine = machine
         self._sim = machine.sim
-        for lcu in machine.lcus:
-            lcu.probe = self._on_lcu_probe
-        for lrt in machine.lrts:
-            lrt.probe = self._on_lrt_probe
-        machine.net.probe = self._on_net_probe
+        bus = machine.sim.bus
+        bus.lcu.append(self._on_lcu_probe)
+        bus.lrt.append(self._on_lrt_probe)
+        bus.net.append(self._on_net_probe)
         return self
 
     def attach_algorithm(self, algo, name: Optional[str] = None) -> None:
@@ -225,11 +225,10 @@ class ContentionProfiler:
     def detach_machine(self) -> None:
         if self._machine is None:
             return
-        for lcu in self._machine.lcus:
-            lcu.probe = None
-        for lrt in self._machine.lrts:
-            lrt.probe = None
-        self._machine.net.probe = None
+        bus = self._machine.sim.bus
+        bus.lcu.remove(self._on_lcu_probe)
+        bus.lrt.remove(self._on_lrt_probe)
+        bus.net.remove(self._on_net_probe)
         self._machine = None
 
     def detach(self) -> None:
@@ -311,9 +310,11 @@ class ContentionProfiler:
                     st.waiting_read = max(0, st.waiting_read - 1)
                 self._mark(st)
 
-    # -- machine probes --------------------------------------------------- #
-    # Probe signatures are positional and tiny: the hardware models call
-    # them on hot paths guarded by a single ``is not None`` check.
+    # -- bus subscribers -------------------------------------------------- #
+    # Signatures are positional and tiny: the hardware models call them
+    # on hot paths.  The lcu/lrt topics also carry the invariant
+    # monitor's events; those are dropped before they could count as
+    # unmatched probes.
 
     def _pending_rec(self, addr: int, tid: int) -> Optional[Acquisition]:
         st = self._locks.get(addr)
@@ -327,6 +328,8 @@ class ContentionProfiler:
 
     def _on_lcu_probe(self, event: str, addr: int, tid: int,
                       write: bool) -> None:
+        if event not in ("req_sent", "grant_sent", "grant_recv"):
+            return
         rec = self._pending_rec(addr, tid)
         if rec is None:
             return
@@ -343,6 +346,8 @@ class ContentionProfiler:
 
     def _on_lrt_probe(self, event: str, addr: int, tid: int,
                       write: bool) -> None:
+        if event != "enqueue" and event != "grant_sent":
+            return
         rec = self._pending_rec(addr, tid)
         if rec is None:
             return
@@ -353,7 +358,7 @@ class ContentionProfiler:
             if rec.t_grant_sent is None:
                 rec.t_grant_sent = now
 
-    def _on_net_probe(self, src, dst, payload, inter_chip: bool) -> None:
+    def _on_net_probe(self, src, dst, payload) -> None:
         addr = getattr(payload, "addr", None)
         if addr is None:
             return
@@ -361,7 +366,8 @@ class ContentionProfiler:
         if st is None:
             return
         st.messages += 1
-        if inter_chip:
+        chip_of = self._machine._chip_of
+        if src != dst and chip_of(src) != chip_of(dst):
             st.inter_chip += 1
         tname = type(payload).__name__
         st.msg_types[tname] = st.msg_types.get(tname, 0) + 1

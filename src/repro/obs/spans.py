@@ -1,9 +1,17 @@
-"""Structured span tracing with Chrome trace-event export.
+"""Message ring and structured span tracing with Chrome trace-event export.
+
+Both classes here subscribe to the ``net`` topic of the probe bus
+(:mod:`repro.sim.bus`).  A :class:`Tracer` is a bounded ring of network
+sends rendered as a ladder-style text dump — the flight recorder of the
+invariant monitor and the fairness observatory::
+
+    tracer = Tracer.attach(machine)
+    ... run ...
+    print(tracer.render(tracer.of_type(Grant)))
 
 A :class:`SpanTracer` records *intervals* — lock-held windows, message
-flights, transaction attempts — on named tracks, complementing the
-point-record :class:`repro.sim.trace.Tracer`.  Completed traces export
-to the Chrome trace-event JSON format, so a run opens directly in
+flights, transaction attempts — on named tracks.  Completed traces
+export to the Chrome trace-event JSON format, so a run opens directly in
 Perfetto (https://ui.perfetto.dev) or ``chrome://tracing``:
 
     tracer = SpanTracer()
@@ -21,11 +29,71 @@ trace viewers; the scale is faithful, the unit label is not).
 
 from __future__ import annotations
 
+import collections
 import dataclasses
+import functools
 import json
-from typing import Any, Dict, List, Optional
+from typing import Any, Deque, Dict, Iterable, List, NamedTuple, Optional
 
-from repro.sim.trace import _ep
+
+class TraceRecord(NamedTuple):
+    time: int
+    src: Any
+    dst: Any
+    payload: Any
+
+    def render(self) -> str:
+        return (
+            f"{self.time:>10d}  {_ep(self.src):>10s} -> {_ep(self.dst):<10s}"
+            f"  {self.payload!r}"
+        )
+
+
+def _ep(ep: Any) -> str:
+    if isinstance(ep, tuple) and len(ep) == 2:
+        return f"{ep[0]}{ep[1]}"
+    return str(ep)
+
+
+class Tracer:
+    """Bounded in-memory ring of a machine's network sends."""
+
+    def __init__(self, capacity: int = 10_000) -> None:
+        self.records: Deque[TraceRecord] = collections.deque(maxlen=capacity)
+        self._sim = None
+
+    @classmethod
+    def attach(cls, machine, capacity: int = 10_000) -> "Tracer":
+        """Record every send on ``machine``'s network until
+        :meth:`detach`."""
+        tracer = cls(capacity)
+        tracer._sim = machine.sim
+        machine.sim.bus.net.append(tracer._on_send)
+        return tracer
+
+    def detach(self) -> None:
+        """Stop recording.  Idempotent."""
+        if self._sim is not None:
+            self._sim.bus.net.remove(self._on_send)
+            self._sim = None
+
+    def _on_send(self, src: Any, dst: Any, payload: Any) -> None:
+        self.records.append(TraceRecord(self._sim.now, src, dst, payload))
+
+    def between(self, t0: int, t1: int) -> List[TraceRecord]:
+        return [r for r in self.records if t0 <= r.time <= t1]
+
+    def of_type(self, *types: type) -> List[TraceRecord]:
+        return [r for r in self.records if isinstance(r.payload, types)]
+
+    def render(self, records: Optional[Iterable[TraceRecord]] = None) -> str:
+        recs = list(records) if records is not None else list(self.records)
+        if not recs:
+            return "(no trace records)"
+        return "\n".join(r.render() for r in recs)
+
+    def __len__(self) -> int:
+        return len(self.records)
 
 
 class SpanError(RuntimeError):
@@ -60,16 +128,10 @@ class SpanTracer:
         self.dropped = 0
         self._open: Dict[int, Span] = {}
         self._next_id = 1
-        self._net = None
-        self._wrapper = None
-        self._original = None
+        self._topic: Optional[list] = None      # the bus list we are on
 
     # ------------------------------------------------------------------ #
     # clock binding / network attachment
-
-    def bind(self, sim) -> None:
-        """Use ``sim`` as the timebase for ts-less begin/end calls."""
-        self._sim = sim
 
     def _now(self, ts: Optional[int]) -> int:
         if ts is not None:
@@ -78,54 +140,33 @@ class SpanTracer:
             raise SpanError("SpanTracer has no simulator bound; pass ts=")
         return self._sim.now
 
-    def attach(self, machine, message_spans: bool = True) -> "SpanTracer":
-        """Bind to ``machine``'s clock and (optionally) wrap ``net.send``
-        so every network message becomes a ``net`` -category span from
-        injection to delivery.  Uses the same LIFO wrapper discipline as
-        :class:`repro.sim.trace.Tracer`; call :meth:`detach` to unwind.
-        Attaching to a second machine detaches from the first."""
-        if self._net is not None:
-            self.detach()
-        self.bind(machine.sim)
-        if not message_spans:
-            return self
-        net = machine.net
-        original = net.send
-
-        def traced_send(src, dst, payload, on_deliver=None):
-            sid = self.begin(
-                type(payload).__name__ if not isinstance(payload, tuple)
-                else str(payload[0]),
-                cat="net",
-                track=f"net {_ep(src)}",
-                dst=_ep(dst),
-            )
-
-            def close(prev=on_deliver):
-                self.end(sid)
-                if prev is not None:
-                    prev()
-
-            return original(src, dst, payload, close)
-
-        net.send = traced_send
-        self._net = net
-        self._wrapper = traced_send
-        self._original = original
+    def attach(self, machine) -> "SpanTracer":
+        """Use ``machine``'s clock as the timebase and make every network
+        message a ``net`` -category span from send to delivery; call
+        :meth:`detach` to stop.  Attaching to a second machine detaches
+        from the first."""
+        self.detach()
+        self._sim = machine.sim
+        self._topic = machine.sim.bus.net
+        self._topic.append(self._on_send)
         return self
 
     def detach(self) -> None:
-        """Unwrap ``net.send``.  Idempotent; raises if detached out of
-        LIFO order (another wrapper sits on top)."""
-        if self._net is None:
-            return
-        if self._net.send is not self._wrapper:
-            raise RuntimeError(
-                "SpanTracer.detach out of order: another wrapper is "
-                "attached on top; detach in LIFO order"
-            )
-        self._net.send = self._original
-        self._net = self._wrapper = self._original = None
+        """Stop recording message spans.  Idempotent; the clock stays
+        bound for spans the harness still closes."""
+        if self._topic is not None:
+            self._topic.remove(self._on_send)
+            self._topic = None
+
+    def _on_send(self, src: Any, dst: Any, payload: Any):
+        sid = self.begin(
+            type(payload).__name__ if not isinstance(payload, tuple)
+            else str(payload[0]),
+            cat="net",
+            track=f"net {_ep(src)}",
+            dst=_ep(dst),
+        )
+        return functools.partial(self.end, sid)
 
     # ------------------------------------------------------------------ #
     # span protocol

@@ -36,6 +36,8 @@ import heapq
 import random
 from typing import Any, Callable, Dict, List, Optional
 
+from repro.sim.bus import ProbeBus
+
 #: a seeded key is ``cycle << 30 | draw``: one integer compare orders
 #: keys by (cycle, 30-bit tiebreak draw)
 _SEEDED_SHIFT = 30
@@ -100,6 +102,9 @@ class Simulator:
         )
         self._cal = CalendarQueue()
         self._probes: List[Callable[[], None]] = []
+        #: observer subscriptions of the hardware models (see
+        #: :mod:`repro.sim.bus`)
+        self.bus = ProbeBus()
         self.dispatch: Optional[Callable[[int, Callable[[], None]], None]] = None
         self._stop = False
         self._running = False

@@ -60,13 +60,11 @@ class SSB:
             "attempts": 0, "failures": 0, "acquires": 0, "releases": 0,
             "table_full": 0,
         }
-        #: optional passive probe ``fn(event, addr, tid, write)`` with
-        #: event in {"acq_ok", "acq_fail", "release"}, fired at the home
-        #: bank as each operation resolves.  Same zero-cost contract as
-        #: the LCU/LRT probes: a single None-check on a hot path, no
-        #: simulator events, no behavioural effect.  The fairness
-        #: observatory uses it to attribute SSB retry storms per lock.
-        self.probe = None
+        #: the bus's ``ssb`` topic (see :mod:`repro.sim.bus`): "acq_ok",
+        #: "acq_fail" and "release", fired at the home bank as each
+        #: operation resolves.  The fairness observatory uses it to
+        #: attribute SSB retry storms per lock.
+        self._subs = sim.bus.ssb
 
     @property
     def servers(self):
@@ -123,14 +121,13 @@ class SSB:
                 self.stats["acquires"] += 1
             else:
                 self.stats["failures"] += 1
-            if self.probe is not None:
-                self.probe("acq_ok" if result else "acq_fail",
-                           addr, tid, write)
+            event = "acq_ok" if result else "acq_fail"
         else:
             result = self._do_release(bank, tid, addr, write)
             self.stats["releases"] += 1
-            if self.probe is not None:
-                self.probe("release", addr, tid, write)
+            event = "release"
+        for fn in self._subs:
+            fn(event, addr, tid, write)
         # reply round trip back to the requesting core
         self._net.send(
             ("ssb", home), ("core", core), ("ssb-reply",),

@@ -95,14 +95,12 @@ class TestLrtDefensive:
         addr = m.alloc.alloc_line()
         lrt = m.lrts[m.mem.home_of(addr)]
         cleared = []
-        orig = m.net.send
 
-        def send(src, dst, payload, on_deliver=None):
+        def on_send(src, dst, payload):
             if isinstance(payload, pm.OvfClear):
                 cleared.append(payload)
-            return orig(src, dst, payload, on_deliver)
 
-        m.net.send = send
+        m.sim.bus.net.append(on_send)
         lrt._process(pm.OvfCheck(addr, tid=3, lcu=1))
         assert cleared
 

@@ -1,15 +1,15 @@
-"""Unit tests for span tracing (repro.obs.spans) and the Tracer
-attach/detach discipline fix (repro.sim.trace)."""
+"""Unit tests for span tracing and the message ring (repro.obs.spans).
+Attaching every sink at once, in any order, is tested in
+tests/test_obs_bus.py."""
 
 import pytest
 
 from repro.cpu.machine import Machine
 from repro.cpu.os_sched import OS
 from repro.locks.base import get_algorithm
-from repro.obs import SpanError, SpanTracer, validate_chrome_trace
+from repro.obs import SpanError, SpanTracer, Tracer, validate_chrome_trace
 from repro.params import small_test_model
 from repro.sim.engine import Simulator
-from repro.sim.trace import Tracer
 
 
 class TestSpanProtocol:
@@ -137,53 +137,18 @@ class TestMessageSpans:
         assert all(s.duration >= 0 for s in net_spans)
         validate_chrome_trace(t.to_chrome_trace())
 
-    def test_detach_restores_send(self):
-        machine = Machine(small_test_model())
-        original = machine.net.send
-        t = SpanTracer()
-        t.attach(machine)
-        assert machine.net.send != original
-        t.detach()
-        assert machine.net.send == original
-        t.detach()  # idempotent
-
-    def test_detach_out_of_order_raises(self):
-        machine = Machine(small_test_model())
-        t1, t2 = SpanTracer(), SpanTracer()
-        t1.attach(machine)
-        t2.attach(machine)
-        with pytest.raises(RuntimeError, match="LIFO"):
-            t1.detach()
-        t2.detach()
-        t1.detach()
-
 
 class TestTracerDetachFix:
-    """The satellite fix: repro.sim.trace.Tracer used to restore a
-    captured ``send`` unconditionally, silently dropping any wrapper
-    stacked on top and double-restoring on repeat calls."""
-
     def test_detach_is_idempotent(self):
         machine = Machine(small_test_model())
-        original = machine.net.send
         tr = Tracer.attach(machine)
-        assert tr.attached
+        spans = SpanTracer().attach(machine)
+        assert machine.sim.bus.net == [tr._on_send, spans._on_send]
         tr.detach()
-        assert not tr.attached
-        assert machine.net.send == original
-        tr.detach()  # second call is a no-op, not a double-restore
-        assert machine.net.send == original
-
-    def test_nested_tracers_lifo(self):
-        machine = Machine(small_test_model())
-        original = machine.net.send
-        outer = Tracer.attach(machine)
-        inner = Tracer.attach(machine)
-        with pytest.raises(RuntimeError, match="LIFO"):
-            outer.detach()
-        inner.detach()
-        outer.detach()
-        assert machine.net.send == original
+        tr.detach()  # second call is a no-op
+        spans.detach()
+        spans.detach()
+        assert machine.sim.bus.net == []
 
     def test_nested_tracers_both_record(self):
         machine = Machine(small_test_model())
@@ -191,17 +156,6 @@ class TestTracerDetachFix:
         inner = Tracer.attach(machine)
         _run_one_cs(machine)
         assert len(outer) > 0 and len(inner) > 0
-        inner.detach()
+        assert list(outer.records) == list(inner.records)
         outer.detach()
-
-    def test_mixed_stack_with_span_tracer(self):
-        machine = Machine(small_test_model())
-        original = machine.net.send
-        tr = Tracer.attach(machine)
-        spans = SpanTracer()
-        spans.attach(machine)
-        with pytest.raises(RuntimeError):
-            tr.detach()
-        spans.detach()
-        tr.detach()
-        assert machine.net.send == original
+        inner.detach()

@@ -12,7 +12,7 @@ from repro import Machine, OS, small_test_model
 from repro.cpu import ops
 from repro.lcu import api
 from repro.lcu import messages as pm
-from repro.sim.trace import Tracer
+from repro.obs.spans import Tracer
 
 
 @pytest.fixture
