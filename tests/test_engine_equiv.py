@@ -1,9 +1,9 @@
 """Differential equivalence: the engine's event store vs a heapq oracle.
 
-The engine files events in a calendar/bucketed queue
-(`repro.sim.engine.CalendarQueue`) and dispatches both event orders —
-stable FIFO and seeded (``tiebreak_seed``) — through one loop,
-`Simulator.run`.  The entire reproduction's determinism contract rides
+The engine files every event under one unique integer key in a heapq
+of ints beside a key -> callback dict (`repro.sim.engine.Simulator`)
+and dispatches both event orders — stable FIFO and seeded
+(``tiebreak_seed``) — through one loop, `Simulator.run`.  The entire reproduction's determinism contract rides
 on one property: *that loop dispatches exactly the same events at
 exactly the same cycles in exactly the same order as a plain heapq of
 ``(cycle, key, seq, fn)`` tuples*, the store the engine started from.
@@ -48,7 +48,7 @@ pytestmark = pytest.mark.engine
 
 
 class HeapSimulator(Simulator):
-    """The pre-calendar event store: one heapq of ``(cycle, key, seq,
+    """The original event store: one heapq of ``(cycle, key, seq,
     fn)`` tuples, where ``key`` is the schedule sequence number (stable
     order) or a 30-bit draw from the tiebreak RNG (seeded order).  Same
     clock, stop and probe semantics as :meth:`Simulator.run`, written
@@ -315,7 +315,7 @@ def _oracle_order(pushes):
 def test_push_pop_monotone_and_fifo(seed):
     """Random interleavings of pushes and single-event runs: events come
     out in nondecreasing time order, same-cycle events in push (FIFO)
-    order — a run stopped mid-bucket resumes it — and the pending count
+    order — a run stopped mid-cycle resumes it — and the pending count
     tracks exactly."""
     rng = random.Random(seed * 7919 + 1)
     sim = Simulator()
@@ -351,8 +351,9 @@ def test_seeded_order_is_sorted_cycle_key_seq(seed, narrow):
     inside handlers and from outside between runs of random length:
     every dispatched event is the least pending ``(cycle, draw, seq)``
     — the draw replayed from a twin of the tiebreak RNG.  Narrow draws
-    make events share a key, so one bucket holds several and a handler
-    often arms a smaller key while its own bucket still has events."""
+    make same-cycle events tie on the draw, so the schedule sequence
+    decides between them, and a handler often schedules an event that
+    must run before others already pending for its cycle."""
     rng = random.Random(seed * 104729 + 5)
     tb_seed = 1000 + seed
     rng_cls = _NarrowDraws if narrow else random.Random
@@ -409,18 +410,32 @@ def test_calendar_agrees_with_reference_store(seed):
         assert out[0] == out[1]
 
 
-def test_drained_buckets_are_deleted():
-    """A drained bucket leaves the store at once, in both orders, so
-    the store holds only what is pending."""
-    for tiebreak_seed in (None, 9):
-        sim = Simulator(tiebreak_seed=tiebreak_seed)
-        cal = sim._cal
-        for round_ in range(10):
-            for t in range(8):
-                sim.at(round_ * 100 + t // 2, lambda: None)
-            assert len(cal.buckets) == len(cal.times) <= 8
-            sim.run()
-            assert not cal.buckets and not cal.times and cal.size == 0
+@pytest.mark.parametrize("tiebreak_seed", [None, 9],
+                         ids=["stable", "seeded"])
+def test_store_holds_one_key_per_pending_event(tiebreak_seed):
+    """Every pending event owns exactly one key, held once in the heap
+    and once in the key -> callback dict, and a drain leaves both
+    empty — also when events schedule more events while it runs."""
+    sim = Simulator(tiebreak_seed=tiebreak_seed)
+
+    def assert_consistent():
+        assert sorted(sim._keys) == sorted(sim._events)
+        assert len(set(sim._keys)) == len(sim._keys) == sim.pending_events
+
+    def chain(left):
+        assert_consistent()
+        if left:
+            sim.at(sim.now + left % 2, lambda: chain(left - 1))
+
+    for round_ in range(10):
+        for t in range(8):
+            sim.at(round_ * 100 + t // 2, lambda: None)
+        sim.at(round_ * 100, lambda: chain(5))
+        assert sim.pending_events == 9
+        assert_consistent()
+        sim.run()
+        assert not sim._keys and not sim._events
+        assert sim.pending_events == 0
 
 
 def test_batched_advance_skips_empty_cycles():
@@ -436,7 +451,7 @@ def test_batched_advance_skips_empty_cycles():
 
 
 def test_signal_cancel_and_rearm():
-    """Signal wait / cancel / re-arm keep working over the calendar
+    """Signal wait / cancel / re-arm keep working over the keyed
     store: a cancelled waiter never fires, a re-armed one fires once."""
     sim = Simulator()
     fired = []
@@ -471,9 +486,9 @@ def _same_cycle_order(cls, tiebreak_seed):
 
 def test_same_cycle_appends_dispatch_this_cycle():
     """An event scheduled *for the current cycle* from inside a handler
-    runs before time advances — in stable order at the tail of the live
-    bucket, in seeded order wherever its draw puts it (as on the
-    oracle)."""
+    runs before time advances — in stable order after every event
+    already pending for this cycle, in seeded order wherever its draw
+    puts it (as on the oracle)."""
     for tiebreak_seed in (None, 1, 2, 3, 4):
         order = _same_cycle_order(Simulator, tiebreak_seed)
         assert order == _same_cycle_order(HeapSimulator, tiebreak_seed)
@@ -495,25 +510,29 @@ def _raise_and_resume(cls, tiebreak_seed, position):
     sim.at(9, lambda: ran.append("tail"))
     with pytest.raises(RuntimeError, match="boom"):
         sim.run()
+    before = len(ran)
     left = sim.pending_events
     # resumable: remaining events drain cleanly
     sim.run()
-    return ran, left
+    return ran, before, left
 
 
 def test_raise_mid_bucket_keeps_store_consistent():
-    """A handler raising mid-bucket must leave the queue resumable:
-    already-dispatched events gone, the rest still queued — including
-    the corner case where the raiser was the bucket's last event.  In
-    seeded order the raiser's position is the draw's, as on the
-    oracle."""
+    """A handler raising mid-cycle must leave the queue resumable: the
+    raiser and the events dispatched before it are gone, the rest still
+    queued — including the corner case where the raiser was its
+    cycle's last event.  In seeded order the raiser's position is the
+    draw's, as on the oracle."""
     for tiebreak_seed in (None, 0, 1, 2, 3):
         for position in ("middle", "last"):
-            ran, left = _raise_and_resume(Simulator, tiebreak_seed, position)
-            assert (ran, left) == _raise_and_resume(
+            ran, before, left = _raise_and_resume(
+                Simulator, tiebreak_seed, position)
+            assert (ran, before, left) == _raise_and_resume(
                 HeapSimulator, tiebreak_seed, position)
             expect = (["a", "b", "tail"] if position == "middle"
                       else ["a", "tail"])
+            # the raiser is consumed: it is neither run again nor pending
+            assert before + left == len(expect)
             assert sorted(ran) == sorted(expect)
             assert ran[-1] == "tail"
             if tiebreak_seed is None:
