@@ -22,12 +22,15 @@ from repro.params import MachineConfig
 from repro.sim.engine import Simulator
 from repro.ssb.ssb import SSB
 
-_LCU_MESSAGE_TYPES = (
+#: protocol records a core's LCU handles.  Records are tuples, so the
+#: core handler tests this set (by class) before the memory system's
+#: ``("fill", ...)`` / ``("ssb-reply", ...)`` tuple branch.
+_LCU_MESSAGE_TYPES = frozenset((
     lcu_msgs.Grant, lcu_msgs.FwdRequest, lcu_msgs.WaitMsg, lcu_msgs.Retry,
     lcu_msgs.ReleaseAck, lcu_msgs.ReleaseRetry, lcu_msgs.Dealloc,
     lcu_msgs.OvfClear, lcu_msgs.RemoteRelease, lcu_msgs.RemoteReleaseAck,
     lcu_msgs.QueueReset, lcu_msgs.QueueProbe, lcu_msgs.FencedOperation,
-)
+))
 
 
 class Machine:
@@ -89,7 +92,7 @@ class Machine:
 
     def _core_handler(self, core: int):
         def handler(src: Endpoint, payload: object) -> None:
-            if isinstance(payload, _LCU_MESSAGE_TYPES):
+            if payload.__class__ in _LCU_MESSAGE_TYPES:
                 self.lcus[core].on_message(src, payload)
             elif isinstance(payload, tuple) and payload and payload[0] in (
                 "fill", "ssb-reply",

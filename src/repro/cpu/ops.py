@@ -15,54 +15,44 @@ arises in this model, exactly the case the LCU's grant timer handles).
 
 ``SleepFor`` and ``FutexWait`` model true OS blocking: the core is
 released to other threads.
+
+Every op is an immutable :class:`typing.NamedTuple` record: building one
+costs a fraction of a frozen dataclass, and the ``repr`` reads the same.
+Each class carries a ``lock_op`` class attribute: synchronisation-relevant
+ops (lock instructions, atomics, waits) carry True, and the scheduler
+records them as "last lock op" for deadlock diagnosis without an
+isinstance sweep per issued op.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 
-class Op:
-    """Base class for operations (used only for isinstance checks)."""
-
-    __slots__ = ()
-
-    #: synchronisation-relevant ops (lock instructions, atomics, waits)
-    #: carry True — the scheduler records them as "last lock op" for
-    #: deadlock diagnosis without an isinstance sweep per issued op
-    lock_op = False
-
-
-@dataclasses.dataclass(frozen=True, slots=True)
-class Compute(Op):
+class Compute(NamedTuple):
     """Burn ``cycles`` of pure computation on the current core."""
     cycles: int
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class Load(Op):
+class Load(NamedTuple):
     """Coherent load; resumes with the loaded value."""
     addr: int
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class Store(Op):
+class Store(NamedTuple):
     """Coherent store of ``value``."""
     addr: int
     value: int
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class Rmw(Op):
+class Rmw(NamedTuple):
     """Atomic read-modify-write: applies ``fn(old) -> new``; resumes with
     the *old* value.  CAS/TAS/SWAP/F&A are all built from this."""
     addr: int
     fn: Callable[[int], int]
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class WaitLine(Op):
+class WaitLine(NamedTuple):
     """Spin until this core's cached copy of ``addr``'s line is
     invalidated (zero traffic while waiting).  Interruptible.
 
@@ -81,19 +71,16 @@ class WaitLine(Op):
     timeout: Optional[int] = None
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class YieldCPU(Op):
+class YieldCPU(NamedTuple):
     """Voluntarily end the timeslice (sched_yield)."""
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class SleepFor(Op):
+class SleepFor(NamedTuple):
     """Release the core for ``cycles`` (OS sleep)."""
     cycles: int
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class FutexWait(Op):
+class FutexWait(NamedTuple):
     """If the word at ``addr`` still equals ``expected``, release the core
     until a ``FutexWake`` on the same address.  Resumes with True if it
     slept, False if the value had already changed."""
@@ -101,8 +88,7 @@ class FutexWait(Op):
     expected: int
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class FutexWake(Op):
+class FutexWake(NamedTuple):
     """Wake up to ``count`` threads blocked in ``FutexWait`` on ``addr``."""
     addr: int
     count: int = 1
@@ -113,8 +99,7 @@ class FutexWake(Op):
 # prefetch).  The threadid is implicit — the executor passes the issuing
 # thread's tid, matching the paper's process-local software threadid.
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class LcuAcq(Op):
+class LcuAcq(NamedTuple):
     """``acq(addr, threadid, mode)``: resumes with True iff acquired.
     ``priority`` marks a real-time request (future-work extension)."""
     addr: int
@@ -122,16 +107,14 @@ class LcuAcq(Op):
     priority: bool = False
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class LcuRel(Op):
+class LcuRel(NamedTuple):
     """``rel(addr, threadid, mode)``: resumes with True iff the release
     was accepted (False means retry, e.g. no free LCU entry)."""
     addr: int
     write: bool
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class LcuEnq(Op):
+class LcuEnq(NamedTuple):
     """Optional Enqueue prefetch primitive (paper footnote 1): joins the
     queue without acquiring.  Resumes with True if a request was issued or
     already pending."""
@@ -139,8 +122,7 @@ class LcuEnq(Op):
     write: bool
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class LcuWait(Op):
+class LcuWait(NamedTuple):
     """Spin on the local LCU entry for ``addr`` until its status changes
     (grant arrival etc.).  Resumes immediately if no entry exists here
     (e.g. after migration).  Interruptible; ``timeout`` bounds the wait."""
@@ -148,8 +130,7 @@ class LcuWait(Op):
     timeout: Optional[int] = None
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class RemoteRmw(Op):
+class RemoteRmw(NamedTuple):
     """Memory Atomic Operation (fetch-and-theta at the memory controller,
     SGI Origin / Cray T3E style): applies ``fn(old) -> new`` *at the home
     directory* without caching the line.  Constant memory-side latency,
@@ -163,20 +144,20 @@ class RemoteRmw(Op):
 # SSB baseline primitives: remote synchronization operations executed at
 # the home L2/controller (Zhu et al., ISCA'07).
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class SsbAcq(Op):
+class SsbAcq(NamedTuple):
     """Remote lock attempt at the home SSB; resumes with True/False."""
     addr: int
     write: bool
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class SsbRel(Op):
+class SsbRel(NamedTuple):
     """Remote lock release at the home SSB."""
     addr: int
     write: bool
 
 
+for _cls in (Compute, Load, Store, YieldCPU, SleepFor):
+    _cls.lock_op = False
 for _cls in (Rmw, WaitLine, FutexWait, FutexWake, LcuAcq, LcuRel, LcuEnq,
              LcuWait, RemoteRmw, SsbAcq, SsbRel):
     _cls.lock_op = True

@@ -89,7 +89,7 @@ class SimThread:
         self.slice_end = 0
         self.epoch = 0          # bumped per dispatch (guards slice timers)
         self.op_seq = 0         # bumped per op issued (guards completions)
-        self.current_op: Optional[ops.Op] = None
+        self.current_op: Optional[Any] = None
         self.last_lock_op: Optional[tuple] = None  # (op, issue cycle)
         self.preemptions = 0
         self.migrations = 0
@@ -464,7 +464,7 @@ class OS:
     # stale-completion semantics are unchanged for every op — including
     # the ones that never invoke their guard (SleepFor, FutexWait sleep).
 
-    def _execute(self, t: SimThread, op: ops.Op) -> None:
+    def _execute(self, t: SimThread, op: Any) -> None:
         ex = _EXECUTORS.get(op.__class__)
         if ex is None:  # pragma: no cover - defensive
             raise TypeError(f"unknown op {op!r}")

@@ -12,11 +12,16 @@ in each LCU entry's ``next`` field.  ``gen`` is the paper's
 ``transfer_cnt``: a per-lock monotonically increasing transfer generation
 that lets the LRT ignore stale head notifications when consecutive
 transfers race.
+
+Every message is an immutable :class:`typing.NamedTuple` record: cheap
+to build on every send, and a retransmission can re-send the very same
+object.  Because records are tuples, code that tells protocol messages
+from the memory system's plain ``("fill", ...)`` tuples tests the
+record classes first.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from typing import NamedTuple
 
 
@@ -28,8 +33,7 @@ class Who(NamedTuple):
     write: bool
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class Request:
+class Request(NamedTuple):
     """LCU -> LRT: thread asks for the lock (paper's REQUEST).
 
     ``priority`` implements the paper's future-work real-time extension:
@@ -53,8 +57,7 @@ class Request:
     seq: int = 0
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class FwdRequest:
+class FwdRequest(NamedTuple):
     """LRT -> tail LCU: enqueue ``req`` behind the current tail.
 
     Carries the tail's identity/mode so a deallocated uncontended owner
@@ -72,8 +75,7 @@ class FwdRequest:
     req_seq: int = 0        # echoed Request.seq (0 = wildcard)
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class FwdNack:
+class FwdNack(NamedTuple):
     """tail LCU -> LRT: could not re-allocate an entry for the forwarded
     request (LCU full); the LRT retries after a backoff.
 
@@ -90,16 +92,14 @@ class FwdNack:
     phantom: bool = False
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class WaitMsg:
+class WaitMsg(NamedTuple):
     """tail LCU -> requestor LCU: you are enqueued (paper's WAIT)."""
     addr: int
     tid: int
     seq: int = 0            # echoed Request.seq (0 = wildcard)
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class Grant:
+class Grant(NamedTuple):
     """Lock grant (paper's GRANT).
 
     * ``head=True``  — carries the Head token (write permission for
@@ -134,8 +134,7 @@ class Grant:
     era: int = 0
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class Retry:
+class Retry(NamedTuple):
     """LRT -> LCU: request rejected (nonblocking entry and lock taken, or
     a reservation holder has priority).  The entry is deallocated and the
     software layer retries (paper's RETRY)."""
@@ -144,8 +143,7 @@ class Retry:
     seq: int = 0            # echoed Request.seq (0 = wildcard)
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class ReleaseMsg:
+class ReleaseMsg(NamedTuple):
     """LCU -> LRT: release of an uncontended lock, an overflow-mode read
     grant, or a migrated thread's lock (paper's RELEASE).
 
@@ -161,15 +159,13 @@ class ReleaseMsg:
     era: int = 0
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class ReleaseAck:
+class ReleaseAck(NamedTuple):
     """LRT -> LCU: release processed; deallocate the REL entry."""
     addr: int
     tid: int
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class ReleaseRetry:
+class ReleaseRetry(NamedTuple):
     """LRT -> LCU: a requestor was already enqueued behind you (release /
     enqueue race) — keep the REL entry and hand the lock to the forwarded
     requestor when it arrives (paper Section III-A)."""
@@ -178,8 +174,7 @@ class ReleaseRetry:
     gen: int
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class HeadNotify:
+class HeadNotify(NamedTuple):
     """new head LCU -> LRT: the Head token moved here (paper Figure 5).
     The LRT replies with ``Dealloc`` to the previous head so its REL entry
     can be reclaimed only once the head pointer is valid again."""
@@ -188,15 +183,13 @@ class HeadNotify:
     gen: int
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class Dealloc:
+class Dealloc(NamedTuple):
     """LRT -> LCU: head pointer updated; drop your REL entry."""
     addr: int
     tid: int
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class OvfCheck:
+class OvfCheck(NamedTuple):
     """granted writer LCU -> LRT: may I take the lock, or are overflow
     readers still holding it?"""
     addr: int
@@ -204,15 +197,13 @@ class OvfCheck:
     lcu: int
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class OvfClear:
+class OvfClear(NamedTuple):
     """LRT -> writer LCU: all overflow readers drained; write away."""
     addr: int
     tid: int
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class RemoteRelease:
+class RemoteRelease(NamedTuple):
     """LRT -> LCU (and LCU -> LCU along the queue): a migrated thread
     released from a foreign LCU; find the queue node owned by
     ``target_tid`` and release it (paper Section III-C).  ``via_tid`` is
@@ -226,15 +217,13 @@ class RemoteRelease:
     hops: int = 0
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class RemoteReleaseAck:
+class RemoteReleaseAck(NamedTuple):
     """owner LCU -> origin LCU: remote release performed; drop REL entry."""
     addr: int
     tid: int
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class RemoteReleaseNack:
+class RemoteReleaseNack(NamedTuple):
     """LCU -> LRT: queue walk for a migrated release failed (node gone /
     chain broken by a race); the LRT retries or resolves it."""
     addr: int
@@ -248,8 +237,7 @@ class RemoteReleaseNack:
 # hardened-mode recovery messages (fault tolerance; see repro.faults)
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class GrantNack:
+class GrantNack(NamedTuple):
     """LCU -> LRT (hardened mode): a Grant arrived for an entry that no
     longer exists — the queue node was lost (forced eviction, resource
     fault).  Carries enough identity for the LRT to decide whether the
@@ -261,8 +249,7 @@ class GrantNack:
     head: bool
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class QueueProbe:
+class QueueProbe(NamedTuple):
     """LRT -> head LCU (hardened mode): the queue for ``addr`` has been
     silent for longer than the orphan threshold; is the head node still
     alive?"""
@@ -270,8 +257,7 @@ class QueueProbe:
     tid: int
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class QueueProbeAck:
+class QueueProbeAck(NamedTuple):
     """head LCU -> LRT: answer to a :class:`QueueProbe`.  ``holding``
     distinguishes a node that *owns* the lock right now (ACQ/RCV entry,
     held-generation record, FLT park, overflow grant) from a mere
@@ -283,8 +269,7 @@ class QueueProbeAck:
     holding: bool = False
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class QueueReset:
+class QueueReset(NamedTuple):
     """LRT -> every LCU (hardened mode, broadcast): the queue for
     ``addr`` was found orphaned (dead head, unreachable successors) and
     has been reclaimed.  LCUs drop their ISSUED/WAIT nodes for the
@@ -295,8 +280,7 @@ class QueueReset:
     gen: int
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class QueueResetAck:
+class QueueResetAck(NamedTuple):
     """LCU -> LRT: reply to a :class:`QueueReset` broadcast.  ``readers``
     is the number of live read holders this LCU converted to
     overflow-accounted mode; the LRT adds them to ``reader_cnt`` so the
@@ -328,8 +312,7 @@ class QueueResetAck:
 # gray-failure hardening messages (fencing + failure detection)
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class FencedOperation:
+class FencedOperation(NamedTuple):
     """LRT -> LCU (hardened mode, fencing armed): the operation named by
     ``op`` carried a fence token from a superseded era — its issuer is a
     zombie whose lease was reclaimed while it was stalled or partitioned
@@ -349,8 +332,7 @@ class FencedOperation:
     gen: int = -1
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class Heartbeat:
+class Heartbeat(NamedTuple):
     """core LCU -> every LRT (hardened mode, periodic): liveness beacon
     feeding the per-core suspicion-level failure detector.  Carried as
     a best-effort datagram by the reliable layer (never retransmitted —

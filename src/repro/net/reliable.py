@@ -30,8 +30,7 @@ five copies of the frame.
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, NamedTuple, Optional, Tuple
 
 from repro.lcu import messages as lcu_msgs
 from repro.sim.engine import Simulator
@@ -43,15 +42,20 @@ Pair = Tuple[Endpoint, Endpoint]
 # fills and SSB replies are request/response with an on_deliver
 # continuation at the requester; wrapping them would let a retransmit
 # race resume a thread twice, and the fault filter leaves them alone.
-_PROTOCOL_MESSAGE_TYPES = tuple(
-    cls
-    for cls in vars(lcu_msgs).values()
-    if dataclasses.is_dataclass(cls) and isinstance(cls, type)
-)
+# (``Who`` is a queue-node identity carried inside messages, never sent.)
+_PROTOCOL_MESSAGE_TYPES = frozenset((
+    lcu_msgs.Request, lcu_msgs.FwdRequest, lcu_msgs.FwdNack,
+    lcu_msgs.WaitMsg, lcu_msgs.Grant, lcu_msgs.Retry, lcu_msgs.ReleaseMsg,
+    lcu_msgs.ReleaseAck, lcu_msgs.ReleaseRetry, lcu_msgs.HeadNotify,
+    lcu_msgs.Dealloc, lcu_msgs.OvfCheck, lcu_msgs.OvfClear,
+    lcu_msgs.RemoteRelease, lcu_msgs.RemoteReleaseAck,
+    lcu_msgs.RemoteReleaseNack, lcu_msgs.GrantNack, lcu_msgs.QueueProbe,
+    lcu_msgs.QueueProbeAck, lcu_msgs.QueueReset, lcu_msgs.QueueResetAck,
+    lcu_msgs.FencedOperation, lcu_msgs.Heartbeat,
+))
 
 
-@dataclasses.dataclass(frozen=True)
-class Frame:
+class Frame(NamedTuple):
     """Wire envelope: ``seq`` within its (src, dst) pair, plus payload.
 
     ``era`` is the pair's crash epoch: a core crash bumps the era of
@@ -68,16 +72,14 @@ class Frame:
     era: int = 0
 
 
-@dataclasses.dataclass(frozen=True)
-class AckFrame:
+class AckFrame(NamedTuple):
     """Cumulative ack: every frame with ``seq < upto`` has been delivered.
     Era-tagged like :class:`Frame`; a stale-era ack is ignored."""
     upto: int
     era: int = 0
 
 
-@dataclasses.dataclass(frozen=True)
-class Datagram:
+class Datagram(NamedTuple):
     """Best-effort envelope: faulted like a :class:`Frame` (blackholes
     and drops apply at the wire), but unsequenced, never acked and never
     retransmitted — no pending state at all.
@@ -93,7 +95,9 @@ class Datagram:
 
 
 #: payload types carried as datagrams instead of sequenced frames
-_DATAGRAM_TYPES = (lcu_msgs.Heartbeat,)
+_DATAGRAM_TYPES = frozenset((lcu_msgs.Heartbeat,))
+#: the envelopes this layer puts on the wire (records, so tested by class)
+_WIRE_TYPES = frozenset((Frame, AckFrame, Datagram))
 
 
 class _Pending:
@@ -165,13 +169,13 @@ class ReliableLayer:
     def covers(self, src: Endpoint, dst: Endpoint, payload: Any) -> bool:
         return (
             src != dst
-            and isinstance(payload, _PROTOCOL_MESSAGE_TYPES)
+            and payload.__class__ in _PROTOCOL_MESSAGE_TYPES
             and self._covers(src, dst)
         )
 
     @staticmethod
     def intercepts(payload: Any) -> bool:
-        return isinstance(payload, (Frame, AckFrame, Datagram))
+        return payload.__class__ in _WIRE_TYPES
 
     def pending_frames(self) -> int:
         """Logical sends not yet acked (0 == channel fully drained)."""
@@ -225,7 +229,7 @@ class ReliableLayer:
         payload: Any,
         on_deliver: Optional[Callable[[], None]],
     ) -> None:
-        if isinstance(payload, _DATAGRAM_TYPES):
+        if payload.__class__ in _DATAGRAM_TYPES:
             # Best-effort: onto the wire once, no sequence, no pending
             # entry, no ack, no retransmission.  Still injected below
             # the fault filter so blackholes and drops starve it.

@@ -160,8 +160,10 @@ class SpanTracer:
 
     def _on_send(self, src: Any, dst: Any, payload: Any):
         sid = self.begin(
-            type(payload).__name__ if not isinstance(payload, tuple)
-            else str(payload[0]),
+            # protocol records are tuples too: only a plain tuple is a
+            # memory-system message named by its tag
+            str(payload[0]) if type(payload) is tuple
+            else type(payload).__name__,
             cat="net",
             track=f"net {_ep(src)}",
             dst=_ep(dst),
