@@ -4,13 +4,15 @@ Every nemesis cell runs in seeded (tiebreak) order, and so does the
 schedule fuzzer.  The differential tests in ``test_engine_equiv.py``
 prove the engine dispatches like the heapq oracle, but both sides of
 that comparison run the code under test; nothing else pins what a
-faulted, seeded run *produces*.  This file does: six nemesis cells at
-matrix seed 0 (``lcu`` and ``lcu_fb`` on Models A and B, under
-``drop``, ``crash_core``, ``partition_links`` and ``zombie_core``) and
-one seeded microbenchmark cell, each with its simulated result and the
-counters that recovery and the engine leave behind.  A change to the
-event store, the network or the message records must leave all of it
-byte-identical.
+faulted, seeded run *produces*.  This file does: eleven nemesis cells
+at matrix seed 0 (``lcu`` and ``lcu_fb`` on Models A and B, one per
+fault class from ``drop`` to ``slow_core``) and one seeded
+microbenchmark cell, each with its simulated result and the counters
+that recovery and the engine leave behind.  The cells of the fault
+classes that drive the LCU-side fault surfaces (eviction, FLT storms,
+capacity clamps, crash-restart, slow cores) also pin the summed LCU
+counters.  A change to the event store, the network, the message
+records or the recovery layer must leave all of it byte-identical.
 
 Regenerate after an intentional model change with::
 
@@ -52,23 +54,36 @@ NEMESIS_CELLS = [
     ("lcu_fb", "B", "partition_links"),
 ]
 
+#: further cells at matrix seed 0, also pinning the summed LCU counters
+FAULT_PATH_CELLS = [
+    ("lcu", "B", "evict"),
+    ("lcu", "B", "flt_storm"),
+    ("lcu_fb", "B", "capacity"),
+    ("lcu", "A", "restart_core"),
+    ("lcu_fb", "B", "slow_core"),
+]
+
 MICROBENCH_TIEBREAK_SEED = 4242
 
 
 def _recovery_counters(machine):
     """Reliable-layer and LRT counters (LRT stats summed over tables)."""
-    lrt = {}
-    for table in machine.lrts:
-        for key, value in table.stats.items():
-            lrt[key] = lrt.get(key, 0) + value
     reliable = machine.net.reliable
     return {
         "reliable": None if reliable is None else reliable.stats(),
-        "lrt": dict(sorted(lrt.items())),
+        "lrt": _summed_stats(machine.lrts),
     }
 
 
-def _nemesis_cell(monkeypatch, algo, model, fault):
+def _summed_stats(units):
+    total = {}
+    for unit in units:
+        for key, value in unit.stats.items():
+            total[key] = total.get(key, 0) + value
+    return dict(sorted(total.items()))
+
+
+def _nemesis_cell(monkeypatch, algo, model, fault, lcu_counters=False):
     built = []
 
     class Recording(Machine):
@@ -80,7 +95,7 @@ def _nemesis_cell(monkeypatch, algo, model, fault):
     cell = run_cell(algo, model, fault, 0)
     monkeypatch.undo()
     (machine,) = built
-    return {
+    got = {
         "cell": f"{algo}/{model}/{fault}",
         "outcome": cell.outcome,
         "injected": cell.injected,
@@ -90,6 +105,9 @@ def _nemesis_cell(monkeypatch, algo, model, fault):
         "messages": machine.net.messages_sent,
         **_recovery_counters(machine),
     }
+    if lcu_counters:
+        got["lcu"] = _summed_stats(machine.lcus)
+    return got
 
 
 def _microbench_cell():
@@ -119,7 +137,11 @@ def _microbench_cell():
 
 def test_seeded_results_match_golden(monkeypatch):
     got = {
-        "nemesis": [_nemesis_cell(monkeypatch, *c) for c in NEMESIS_CELLS],
+        "nemesis": [_nemesis_cell(monkeypatch, *c) for c in NEMESIS_CELLS]
+        + [
+            _nemesis_cell(monkeypatch, *c, lcu_counters=True)
+            for c in FAULT_PATH_CELLS
+        ],
         "microbench": _microbench_cell(),
     }
     # normalise through JSON so float and tuple spellings compare alike
