@@ -113,7 +113,6 @@ class Machine:
     def harden(
         self, watchdog_interval: int = 20_000,
         silence_threshold: int = 50_000,
-        lease_cycles: "int | None" = None,
         fencing: bool = True,
     ) -> None:
         """Arm fault tolerance in every LCU and LRT (see repro.faults).
@@ -125,8 +124,7 @@ class Machine:
         for lcu in self.lcus:
             lcu.harden(fencing=fencing)
         for lrt in self.lrts:
-            lrt.harden(watchdog_interval, silence_threshold, lease_cycles,
-                       fencing=fencing)
+            lrt.harden(watchdog_interval, silence_threshold, fencing=fencing)
 
     def start_heartbeats(self, interval: int = 5_000) -> None:
         """Begin per-core heartbeats to every LRT (the suspicion-level

@@ -47,7 +47,7 @@ class LcuEntry:
     __slots__ = (
         "addr", "tid", "write", "status", "head", "next", "gen",
         "kind", "nonblocking", "overflow", "pending_ovf", "timer_seq",
-        "lease", "req_seq",
+        "req_seq",
     )
 
     def __init__(
@@ -65,7 +65,6 @@ class LcuEntry:
         self.overflow = False           # granted in overflow mode
         self.pending_ovf = False        # granted writer awaiting OvfClear
         self.timer_seq = 0              # invalidates stale grant timers
-        self.lease = 0                  # lease deadline from the grant
         self.req_seq = 0                # seq of the Request this entry sent
 
     def identity(self, lcu_id: int) -> Who:

@@ -107,11 +107,8 @@ class LockControlUnit:
         #: reclaim's QueueReset would enqueue the same node twice
         self._evicted: set = set()
         #: fence tokens armed (gray-failure hardening): releases echo
-        #: their hold's (gen, era) pair so the LRT can reject zombies
+        #: their hold's generation so the LRT can reject zombies
         self._fencing = False
-        #: addr -> last fence era seen on a grant (diagnostic half of
-        #: the token; enforcement is on the generation floor)
-        self._era_seen: Dict[int, int] = {}
 
         self.stats: Dict[str, int] = {
             "acquires": 0, "releases": 0, "transfers": 0, "timeouts": 0,
@@ -143,16 +140,12 @@ class LockControlUnit:
     def _release_msg(
         self, addr: int, rel: Who, overflow: bool, gen: int = -1
     ) -> msg.ReleaseMsg:
-        """Build a release, echoing the hold's fence token when fencing
-        is armed (``gen`` is the hold's generation; the era half is the
-        last one a grant delivered).  Unfenced builds keep the legacy
+        """Build a release, echoing the hold's generation as its fence
+        token when fencing is armed.  Unfenced builds keep the
         wildcard, byte-for-byte."""
         if not self._fencing:
             return msg.ReleaseMsg(addr, rel, overflow)
-        return msg.ReleaseMsg(
-            addr, rel, overflow,
-            gen=gen, era=self._era_seen.get(addr, 0),
-        )
+        return msg.ReleaseMsg(addr, rel, overflow, gen)
 
     def _fire(self, addr: int, tid: int) -> None:
         sig = self._signals.get((addr, tid))
@@ -695,12 +688,6 @@ class LockControlUnit:
                 f"LCU{self.lcu_id}: grant {m!r} for missing entry"
             )
         e.gen = max(e.gen, m.gen)
-        if m.lease:
-            e.lease = max(e.lease, m.lease)
-        if m.era:
-            self._era_seen[m.addr] = max(
-                self._era_seen.get(m.addr, 0), m.era
-            )
 
         if m.overflow:
             if e.status not in (ISSUED, WAIT):
@@ -808,18 +795,9 @@ class LockControlUnit:
                 self.stats.get("stale_fwds_dropped", 0) + 1
             )
             if self._fencing:
-                # Tell the requestor its enqueue died with the old era
-                # (for FencedOperation the token fields carry the gen
-                # pair): its LCU frees the stale ISSUED/WAIT node if the
-                # QueueReset broadcast has not already, so the thread
-                # re-requests instead of waiting on a dropped forward.
+                # Tell the requestor its enqueue died with the old era.
                 self._send_lcu(
-                    m.req.lcu,
-                    msg.FencedOperation(
-                        m.addr, m.req.tid, "fwd",
-                        era=m.gen,
-                        current_era=self._reset_gen.get(m.addr, 0),
-                    ),
+                    m.req.lcu, msg.FencedOperation(m.addr, m.req.tid, "fwd")
                 )
             return
         e = self._entries.get(key)

@@ -74,8 +74,8 @@ class LrtEntry:
         "addr", "head", "tail", "gen", "reader_cnt", "writers_waiting",
         "reservation", "reservation_seq", "pending_ovf_writer",
         "priority_members", "priority_seq",
-        "last_activity", "reclaim_gen", "reset_pending", "probing",
-        "lease_expiry", "probe_seq", "probe_attempts", "last_alive_probe",
+        "last_activity", "reset_pending", "probing",
+        "probe_seq", "probe_attempts", "last_alive_probe",
         "reset_seq", "reset_attempts", "reset_survivor",
         "reclaim_victim", "reset_reader_tids",
     )
@@ -96,23 +96,18 @@ class LrtEntry:
         self.priority_members: set = set()
         self.priority_seq = 0
         # hardened-mode recovery state (see repro.faults): cycle of the
-        # last message touching this lock (watchdog orphan detection),
-        # the generation below which in-flight messages belong to a
-        # reclaimed era and must be dropped, the set of LCU ids whose
-        # QueueResetAck is still outstanding, and whether a liveness
-        # probe is already in flight
+        # last message or grant touching this lock (watchdog orphan
+        # detection), the set of LCU ids whose QueueResetAck is still
+        # outstanding, and whether a liveness probe is already in flight
         self.last_activity = 0
-        self.reclaim_gen = 0
         self.reset_pending: set = set()
         self.probing = False
-        # lease-based crash recovery: the deadline stamped on the last
-        # grant issued for this lock; probe retry bookkeeping (seq
+        # probe retry bookkeeping (seq
         # invalidates stale timeout events, attempts cap the retries);
         # the snapshot of the last alive-but-not-holding probe answer
         # (two identical snapshots a full silent window apart == the
         # queue is wedged behind crashed state -> revoke); reset
         # re-broadcast bookkeeping for the revocation handshake.
-        self.lease_expiry = 0
         self.probe_seq = 0
         self.probe_attempts = 0
         self.last_alive_probe: Optional[tuple] = None
@@ -176,14 +171,10 @@ class LockReservationTable:
         self.hardened = False
         self._watchdog_interval = 0
         self._silence_threshold = 0
-        self._lease_cycles = 0
         #: fencing armed (harden(fencing=True)): releases bearing a
         #: fence token from a reclaimed era are rejected with a
         #: structured FencedOperation instead of acked idempotently
         self._fencing = False
-        #: addr -> fence era (count of lease reclamations); the "era"
-        #: half of the (era, fence) token pair stamped on grants
-        self._era: Dict[int, int] = {}
         # suspicion-level failure detector (enable_failure_detector):
         # core -> cycle of the last heartbeat received here
         self._hb_on = False
@@ -285,17 +276,13 @@ class LockReservationTable:
             self._touch_memory()
         else:
             e = LrtEntry(addr)
-            floor = self._gen_floor.get(addr)
-            if floor is not None:
-                # Resume the post-reclaim era: a fresh gen of 1 would be
-                # rejected by the LCUs' dead-era fences.
-                e.gen = e.reclaim_gen = floor
             if self.hardened:
-                high = self._gen_high.get(addr)
-                if high is not None and high > e.gen:
-                    # Resume above the previous queue episode so its
-                    # delayed traffic can never outrank fresh grants.
-                    e.gen = high
+                # Resume above the previous queue episode (and so above
+                # any reclaim floor) so its delayed traffic can never
+                # outrank fresh grants.  The install is the grant's
+                # first activity.
+                e.gen = self._gen_high.get(addr, 0)
+                e.last_activity = self._sim.now
             self._live += 1
             if self._live > self.live_locks_highwater:
                 self.live_locks_highwater = self._live
@@ -366,17 +353,15 @@ class LockReservationTable:
         self,
         watchdog_interval: int = 20_000,
         silence_threshold: int = 50_000,
-        lease_cycles: Optional[int] = None,
         fencing: bool = True,
     ) -> None:
         """Arm fault tolerance: tolerate the message anomalies the
         nemesis injects (stray releases, stale notifications, dead queue
         nodes) and run an idle-queue watchdog that probes queues silent
-        for ``silence_threshold`` cycles and reclaims orphans.  Grants
-        issued while hardened carry a lease expiring ``lease_cycles``
-        after issue (default: the silence threshold); a queue that stays
-        silent past its lease with a head that is provably not holding
-        is revoked by the lease watchdog (crash recovery).
+        for ``silence_threshold`` cycles and reclaims orphans.  Every
+        message and every grant restarts a lock's silence clock; a queue
+        that stays silent with a head that is provably not holding is
+        revoked (crash recovery).
 
         ``fencing`` additionally arms fence-token enforcement: a
         release whose generation predates the address's reclaim floor —
@@ -392,9 +377,6 @@ class LockReservationTable:
         self._fencing = fencing
         self._watchdog_interval = watchdog_interval
         self._silence_threshold = silence_threshold
-        self._lease_cycles = (
-            lease_cycles if lease_cycles is not None else silence_threshold
-        )
         self._sim.after(watchdog_interval, self._watchdog_tick)
 
     def enable_failure_detector(self, interval: int) -> None:
@@ -471,7 +453,6 @@ class LockReservationTable:
                     and not e.reset_pending
                     and not e.probing
                     and now - e.last_activity >= self._silence_threshold
-                    and now >= e.lease_expiry
                 ):
                     if e.head.lcu in self._dead_cores:
                         # Head homed on a core known dead: no probe can
@@ -562,7 +543,10 @@ class LockReservationTable:
             raise ProtocolError(f"LRT{self.lrt_id}: unexpected message {m!r}")
         self.stats["grant_nacks"] = self.stats.get("grant_nacks", 0) + 1
         e = self.entry(m.addr)
-        if e is None or m.gen < e.reclaim_gen or not m.head:
+        if (
+            e is None or m.gen < self._gen_floor.get(m.addr, 0)
+            or not m.head
+        ):
             return  # stale echo of an era already reclaimed
         self._reclaim(self._install(m.addr), "grant_nack")
 
@@ -578,11 +562,9 @@ class LockReservationTable:
             self.stats.get(f"reclaims_{reason}", 0) + 1
         )
         self._reclaim_started[e.addr] = self._sim.now
-        self._era[e.addr] = self._era.get(e.addr, 0) + 1
         e.reclaim_victim = e.head
         e.reset_reader_tids = set()
         e.gen += RECLAIM_GEN_STRIDE
-        e.reclaim_gen = e.gen
         self._gen_floor[e.addr] = e.gen
         e.head = e.tail = None
         e.writers_waiting = 0
@@ -647,7 +629,7 @@ class LockReservationTable:
             self.stats.get("reset_rebroadcasts", 0) + len(e.reset_pending)
         )
         for lcu_id in e.reset_pending:
-            self._send_lcu(lcu_id, msg.QueueReset(addr, e.reclaim_gen))
+            self._send_lcu(lcu_id, msg.QueueReset(addr, self._gen_floor[addr]))
         delay = min(_RESET_RETRY_BACKOFF << e.reset_attempts, _RESET_RETRY_CAP)
         self._sim.after(delay, lambda: self._reset_check(addr, seq))
 
@@ -661,10 +643,10 @@ class LockReservationTable:
             # A live writer survived the reclaim still owning the lock
             # (the dead node was a tail or middle): re-seat it as the
             # new era's head so requests enqueue behind it instead of
-            # being granted over a live write hold.  Fresh lease: the
-            # survivor starts a new observation window.
+            # being granted over a live write hold.  The re-seat is a
+            # grant: the survivor starts a new silence window.
             e.head = e.tail = e.reset_survivor
-            self._lease_stamp(e)
+            e.last_activity = self._sim.now
             self.stats["reset_reseats"] = (
                 self.stats.get("reset_reseats", 0) + 1
             )
@@ -800,8 +782,6 @@ class LockReservationTable:
                     msg.Grant(
                         m.addr, req.tid, head=False, gen=e.gen,
                         from_lrt=True, overflow=True,
-                        lease=self._lease_stamp(e),
-                        era=self._era.get(m.addr, 0),
                     ),
                 )
                 return
@@ -837,8 +817,7 @@ class LockReservationTable:
             self._send_lcu(
                 req.lcu,
                 msg.Grant(m.addr, req.tid, head=False, gen=e.gen,
-                          from_lrt=True, lease=self._lease_stamp(e),
-                          era=self._era.get(m.addr, 0)),
+                          from_lrt=True),
             )
         self._forward(e, m.addr, req, m.seq)
 
@@ -889,31 +868,17 @@ class LockReservationTable:
             e.priority_members.clear()
             self._finalize(e)
 
-    def _lease_stamp(self, e: LrtEntry) -> int:
-        """Lease deadline to stamp on a grant being issued now (0 when
-        not hardened: unleased).  Also pushes the entry's own expiry out,
-        so the lease watchdog never second-guesses a fresh grant."""
-        if not self.hardened:
-            return 0
-        lease = self._sim.now + self._lease_cycles
-        if lease > e.lease_expiry:
-            e.lease_expiry = lease
-        return lease
-
     def _grant(
         self, req: Who, addr: int, head: bool, gen: int, confirm: bool = False
     ) -> None:
         self.stats["grants"] += 1
         self._emit("grant", addr, req.tid, req.write)
         self._emit("grant_sent", addr, req.tid, req.write)
-        e = self.entry(addr)
-        lease = self._lease_stamp(e) if e is not None else 0
         self._send_lcu(
             req.lcu,
             msg.Grant(
                 addr, req.tid, head=head, gen=gen,
-                from_lrt=True, confirm_required=confirm, lease=lease,
-                era=self._era.get(addr, 0),
+                from_lrt=True, confirm_required=confirm,
             ),
         )
 
@@ -1056,11 +1021,7 @@ class LockReservationTable:
         )
         self._send_lcu(
             rel.lcu,
-            msg.FencedOperation(
-                m.addr, rel.tid, "release",
-                era=m.era, current_era=self._era.get(m.addr, 0),
-                gen=m.gen,
-            ),
+            msg.FencedOperation(m.addr, rel.tid, "release", gen=m.gen),
         )
         return True
 
@@ -1075,8 +1036,7 @@ class LockReservationTable:
         """Remove the entry once nothing references the lock anymore.
         An open priority window keeps the entry (and the window) alive
         across idle gaps until it expires, and a reclaim-in-progress
-        keeps it alive until every LCU has acknowledged the reset (the
-        era fence in ``reclaim_gen`` must survive until then)."""
+        keeps it alive until every LCU has acknowledged the reset."""
         if (
             e.queue_empty
             and e.reader_cnt == 0
@@ -1104,7 +1064,7 @@ class LockReservationTable:
                 f"LRT{self.lrt_id}: head notify {m!r} for unknown lock"
             )
         e = self._install(m.addr)
-        if self.hardened and m.gen < e.reclaim_gen:
+        if self.hardened and m.gen < self._gen_floor.get(m.addr, 0):
             # Dead-era notification racing the reset broadcast: the
             # queue it describes no longer exists.
             self.stats["stale_notifies"] += 1
@@ -1145,7 +1105,7 @@ class LockReservationTable:
         fwd = m.original
         if self.hardened:
             e = self.entry(m.addr)
-            if e is None or fwd.gen < e.reclaim_gen:
+            if e is None or fwd.gen < self._gen_floor.get(m.addr, 0):
                 self.stats["stale_fwds_dropped"] = (
                     self.stats.get("stale_fwds_dropped", 0) + 1
                 )

@@ -111,17 +111,6 @@ class Grant(NamedTuple):
     * ``overflow``   — an overflow-mode reader grant (no queue membership).
     * ``confirm_required`` — a granted writer must ask the LRT for
       ``OvfClear`` before acquiring (overflow readers may still hold).
-    * ``lease``      — absolute cycle the grant's lease expires at
-      (hardened mode; 0 = unleased).  Issued by the LRT with its grants;
-      the per-entry lease watchdog may revoke a queue whose lease has
-      expired with no observable progress (crash recovery).
-    * ``era``        — the grant's fence token era (hardened mode).
-      Together with ``gen`` it forms the monotone ``(era, fence)``
-      pair: ``era`` counts lease reclamations of the address and
-      ``gen`` orders grants within an era.  Memory-side handlers
-      reject operations whose token predates the current era — a
-      zombie holder reclaimed away during a stall gets a structured
-      :class:`FencedOperation` instead of silent success.
     """
     addr: int
     tid: int
@@ -130,8 +119,6 @@ class Grant(NamedTuple):
     from_lrt: bool = False
     overflow: bool = False
     confirm_required: bool = False
-    lease: int = 0
-    era: int = 0
 
 
 class Retry(NamedTuple):
@@ -147,16 +134,15 @@ class ReleaseMsg(NamedTuple):
     """LCU -> LRT: release of an uncontended lock, an overflow-mode read
     grant, or a migrated thread's lock (paper's RELEASE).
 
-    ``gen``/``era`` echo the hold's fence token (hardened mode).  The
-    LRT rejects a release whose token predates the address's current
-    fence era with a :class:`FencedOperation` — the releaser is a
-    zombie whose hold was reclaimed away.  ``gen=-1`` is the legacy
-    wildcard (unhardened paths never fence)."""
+    ``gen`` echoes the hold's transfer generation: the fence token.
+    With fencing armed, the LRT rejects a release whose ``gen`` is below
+    the address's reclaim floor with a :class:`FencedOperation` — the
+    releaser is a zombie whose hold was reclaimed away.  ``gen=-1`` is
+    the wildcard that never fences."""
     addr: int
     rel: Who
     overflow: bool = False
     gen: int = -1
-    era: int = 0
 
 
 class ReleaseAck(NamedTuple):
@@ -322,8 +308,6 @@ class FencedOperation(NamedTuple):
     addr: int
     tid: int
     op: str                 # "release" | "fwd"
-    era: int                # the stale token's era
-    current_era: int        # the address's live era
     #: the fenced token's ``gen`` — lets the LCU tell the stale hold's
     #: leftovers from a *newer incarnation* under the same (addr, tid)
     #: key (the thread may have re-acquired before this arrives); only
