@@ -80,6 +80,8 @@ class Machine:
             )
 
         self.ssb = SSB(self.sim, config, self.net)
+        #: set by :meth:`harden`: the units are recovering ones
+        self.hardened = False
 
     # ------------------------------------------------------------------ #
 
@@ -115,21 +117,29 @@ class Machine:
         silence_threshold: int = 50_000,
         fencing: bool = True,
     ) -> None:
-        """Arm fault tolerance in every LCU and LRT (see repro.faults).
+        """Arm fault tolerance: every LCU and LRT becomes a recovering
+        unit (:mod:`repro.lcu.recovery`), in place.  The LRT watchdog
+        probes queues silent for ``silence_threshold`` cycles, checking
+        every ``watchdog_interval``.  A second call is a no-op.
 
-        ``fencing=False`` is the sabotage mode: leases are still
-        reclaimed, but grants carry no enforced fence token, so a
-        zombie holder's stale operations succeed silently — the
-        invariant monitor's zombie-writer check must catch it."""
-        for lcu in self.lcus:
-            lcu.harden(fencing=fencing)
-        for lrt in self.lrts:
-            lrt.harden(watchdog_interval, silence_threshold, fencing=fencing)
+        ``fencing=False`` is the sabotage mode: silent queues are still
+        reclaimed, but stale releases are not fenced, so a zombie
+        holder's stale operations succeed silently — the invariant
+        monitor's zombie-writer check must catch it."""
+        if self.hardened:
+            return
+        self.hardened = True
+        from repro.lcu import recovery
+
+        recovery.install(
+            self.lcus, self.lrts, watchdog_interval, silence_threshold,
+            fencing,
+        )
 
     def start_heartbeats(self, interval: int = 5_000) -> None:
         """Begin per-core heartbeats to every LRT (the suspicion-level
-        failure detector's input).  Fault-harness-only, like
-        :meth:`harden`: unfaulted builds never schedule any of this.
+        failure detector's input).  Fault-harness-only: call it after
+        :meth:`harden`; unfaulted builds never schedule any of this.
         Heartbeats ride the armed reliable layer as best-effort
         datagrams — faulted like any frame, never retransmitted — so a
         partitioned or zombied core goes silent and its suspicion
@@ -162,9 +172,10 @@ class Machine:
     # crash-stop faults (repro.faults crash_core / restart_core)
 
     def crash_core(self, core: int) -> set:
-        """Hardware side of a crash-stop fault: the core's LCU dies with
-        all its lock state, and every LRT is told the core is dead (so
-        queue reclamation never waits on it).  Returns the tids whose
+        """Hardware side of a crash-stop fault (after :meth:`harden`):
+        the core's LCU dies with all its lock state, and every LRT is
+        told the core is dead (so queue reclamation never waits on it).
+        Returns the tids whose
         lock state was homed on the dead LCU — the caller must also kill
         those threads (see :meth:`repro.cpu.os_sched.OS.crash_core`),
         because their only record of holding/queueing died here."""
@@ -176,7 +187,7 @@ class Machine:
     def restart_core(self, core: int) -> None:
         """Rebirth after :meth:`crash_core`: the LCU comes back empty and
         the LRTs resume including the core in reset broadcasts.  Lock
-        state lost in the crash stays lost — recovery is the LRT lease
+        state lost in the crash stays lost — recovery is the LRT
         watchdog's job, not the restart's."""
         self.lcus[core].restart()
         for lrt in self.lrts:
@@ -188,9 +199,10 @@ class Machine:
         from, not the core it died on).  Models the surviving OS kernels'
         robust-futex-style crash cleanup: each live LCU releases the dead
         threads' held locks on their behalf so waiters behind them make
-        progress without waiting out a full lease revocation."""
+        progress without waiting out a full queue revocation.  Without
+        :meth:`harden` no core can have crashed: nothing to purge."""
         dead = set(tids)
-        if not dead:
+        if not dead or not self.hardened:
             return
         for lcu in self.lcus:
             lcu.purge_dead_tids(dead)

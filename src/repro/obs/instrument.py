@@ -143,11 +143,13 @@ def harvest_machine_metrics(
         registry.gauge(f"lrt.{j}.live_locks_highwater").set(
             lrt.live_locks_highwater
         )
-        if lrt.recovery_latencies:
+        # only a recovering LRT (repro.lcu.recovery) records these
+        latencies = getattr(lrt, "recovery_latencies", ())
+        if latencies:
             hist = registry.histogram(
                 "lrt.recovery_latency", bucket_width=1000
             )
-            for lat in lrt.recovery_latencies:
+            for lat in latencies:
                 hist.add(lat)
 
     for stat, value in sorted(machine.ssb.stats.items()):

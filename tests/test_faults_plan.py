@@ -13,6 +13,7 @@ from repro.faults.plan import (
     FaultPlan,
     generate_plan,
 )
+from repro.lcu.recovery import RecoveringLCU, RecoveringLRT
 from repro.params import small_test_model
 
 pytestmark = pytest.mark.faults
@@ -110,8 +111,8 @@ class TestInjector:
                              horizon=10_000)
         inj = FaultInjector(machine, os_, plan)
         inj.arm()
-        assert machine.lcus[0].hardened
-        assert machine.lrts[0].hardened
+        assert all(type(u) is RecoveringLCU for u in machine.lcus)
+        assert all(type(u) is RecoveringLRT for u in machine.lrts)
         assert inj.reliable is not None
         assert machine.net.fault_filter is not None
 

@@ -3,7 +3,9 @@ forced queue-node eviction + reclaim, and preemption/stall bursts.
 
 These are the *existing* protocol paths the nemesis leans on — each test
 drives one of them directly (no fault plan) so a matrix failure can be
-localised to the mechanism rather than the injector."""
+localised to the mechanism rather than the injector.  The fault
+surfaces belong to the recovery layer, so the tests that call them
+harden the machine first."""
 
 import pytest
 
@@ -18,9 +20,17 @@ def m():
     return Machine(small_test_model())
 
 
+@pytest.fixture
+def hm():
+    machine = Machine(small_test_model())
+    machine.harden()
+    return machine
+
+
 class TestFltPressure:
     def test_force_flt_evict_flushes_park_as_release(self):
         m = Machine(small_test_model(flt_entries=4))
+        m.harden()
         os_ = OS(m)
         addr = m.alloc.alloc_line()
 
@@ -38,14 +48,15 @@ class TestFltPressure:
         drain_and_check(m)
         assert lcu.stats["flt_forced_evictions"] == 1
 
-    def test_force_flt_evict_empty_returns_false(self, m):
-        assert m.lcus[0].force_flt_evict() is False
-        assert m.lcus[0].force_flt_evict(0x1234) is False
+    def test_force_flt_evict_empty_returns_false(self, hm):
+        assert hm.lcus[0].force_flt_evict() is False
+        assert hm.lcus[0].force_flt_evict(0x1234) is False
 
     def test_reacquire_after_flt_evict_goes_remote(self):
         """After the park is flushed the next acquire is a fresh LRT
         request, not a biased FLT hit — and still correct."""
         m = Machine(small_test_model(flt_entries=4))
+        m.harden()
         os_ = OS(m)
         addr = m.alloc.alloc_line()
         tracker = RWTracker()
@@ -79,27 +90,27 @@ class TestFltPressure:
 
 
 class TestCapacityClamp:
-    def test_zero_capacity_exhausts_after_escape_entry(self, m):
+    def test_zero_capacity_exhausts_after_escape_entry(self, hm):
         """Clamping to zero leaves only the LOCAL escape-hatch entry;
         the second concurrent request on the same LCU must fail and be
         counted."""
-        lcu = m.lcus[0]
+        lcu = hm.lcus[0]
         lcu.set_forced_capacity(0)
         assert lcu._alloc(0x100, 0, True) is not None, "escape entry"
         assert lcu._alloc(0x140, 1, True) is None
         assert lcu.stats["alloc_failures"] == 1
 
-    def test_zero_capacity_clamp_lifts_and_recovers(self, m):
-        os_ = OS(m)
-        addr = m.alloc.alloc_line()
+    def test_zero_capacity_clamp_lifts_and_recovers(self, hm):
+        os_ = OS(hm)
+        addr = hm.alloc.alloc_line()
         tracker = RWTracker()
         done = []
 
-        for lcu in m.lcus:
+        for lcu in hm.lcus:
             lcu.set_forced_capacity(0)
         # lift the clamp mid-run; every pending acquire then succeeds
-        m.sim.at(3_000, lambda: [
-            lcu.set_forced_capacity(None) for lcu in m.lcus
+        hm.sim.at(3_000, lambda: [
+            lcu.set_forced_capacity(None) for lcu in hm.lcus
         ])
 
         def prog_factory(i):
@@ -116,10 +127,10 @@ class TestCapacityClamp:
             os_.spawn(prog_factory(i))
         os_.run_all()
         assert sorted(done) == [0, 1, 2]
-        drain_and_check(m)
+        drain_and_check(hm)
 
-    def test_clamp_restores_configured_limit(self, m):
-        lcu = m.lcus[0]
+    def test_clamp_restores_configured_limit(self, hm):
+        lcu = hm.lcus[0]
         lcu.set_forced_capacity(1)
         assert lcu._forced_capacity == 1
         lcu.set_forced_capacity(None)
@@ -127,9 +138,9 @@ class TestCapacityClamp:
 
 
 class TestForcedEviction:
-    def test_evict_requires_waiting_ordinary_node(self, m):
-        os_ = OS(m)
-        addr = m.alloc.alloc_line()
+    def test_evict_requires_waiting_ordinary_node(self, hm):
+        os_ = OS(hm)
+        addr = hm.alloc.alloc_line()
 
         def holder(thread):
             yield from api.lock(addr, True)
@@ -137,13 +148,13 @@ class TestForcedEviction:
             yield from api.unlock(addr, True)
 
         os_.spawn(holder)
-        m.sim.run(until=1_000)
+        hm.sim.run(until=1_000)
         # the holder's entry was freed on the uncontended grant: nothing
         # is evictable, and unknown keys are refused
-        assert m.lcus[0].evictable_entries() == []
-        assert m.lcus[0].force_evict(addr, 0) is False
+        assert hm.lcus[0].evictable_entries() == []
+        assert hm.lcus[0].force_evict(addr, 0) is False
         os_.run_all()
-        drain_and_check(m)
+        drain_and_check(hm)
 
     def test_evicted_waiter_recovers_via_reclaim(self, m):
         """Evict a waiting queue node mid-contention: the hardened
