@@ -18,6 +18,10 @@ to build on every send, and a retransmission can re-send the very same
 object.  Because records are tuples, code that tells protocol messages
 from the memory system's plain ``("fill", ...)`` tuples tests the
 record classes first.
+
+The messages after ``RemoteReleaseNack`` belong to the recovery layer
+(:mod:`repro.lcu.recovery`); the base units raise ``ProtocolError`` on
+them.
 """
 
 from __future__ import annotations
@@ -79,7 +83,7 @@ class FwdNack(NamedTuple):
     """tail LCU -> LRT: could not re-allocate an entry for the forwarded
     request (LCU full); the LRT retries after a backoff.
 
-    ``phantom=True`` is a stronger refusal (hardened mode): the LCU has
+    ``phantom=True`` is a stronger refusal (recovery layer): the LCU has
     *no trace at all* of the named tail holding anything — no entry, no
     held-generation record, no FLT park.  That state cannot come back,
     so retrying the forward can never legitimately succeed; it could
@@ -134,11 +138,12 @@ class ReleaseMsg(NamedTuple):
     """LCU -> LRT: release of an uncontended lock, an overflow-mode read
     grant, or a migrated thread's lock (paper's RELEASE).
 
-    ``gen`` echoes the hold's transfer generation: the fence token.
-    With fencing armed, the LRT rejects a release whose ``gen`` is below
-    the address's reclaim floor with a :class:`FencedOperation` — the
-    releaser is a zombie whose hold was reclaimed away.  ``gen=-1`` is
-    the wildcard that never fences."""
+    ``gen`` is the hold's transfer generation: the fence token.  Only a
+    recovering LRT with fencing armed reads it, rejecting a release
+    whose ``gen`` is below the address's reclaim floor with a
+    :class:`FencedOperation` — the releaser is a zombie whose hold was
+    reclaimed away.  ``gen=-1`` (a release with no known hold, such as
+    an overflow release) never fences."""
     addr: int
     rel: Who
     overflow: bool = False
@@ -220,14 +225,14 @@ class RemoteReleaseNack(NamedTuple):
 
 
 # --------------------------------------------------------------------- #
-# hardened-mode recovery messages (fault tolerance; see repro.faults)
+# recovery-layer messages (repro.lcu.recovery; armed by Machine.harden)
 
 
 class GrantNack(NamedTuple):
-    """LCU -> LRT (hardened mode): a Grant arrived for an entry that no
-    longer exists — the queue node was lost (forced eviction, resource
-    fault).  Carries enough identity for the LRT to decide whether the
-    dead node was the head and reclaim the orphaned queue."""
+    """LCU -> LRT: a Grant arrived for an entry that no longer exists —
+    the queue node was lost (forced eviction, resource fault).  Carries
+    enough identity for the LRT to decide whether the dead node was the
+    head and reclaim the orphaned queue."""
     addr: int
     tid: int
     lcu: int
@@ -236,7 +241,7 @@ class GrantNack(NamedTuple):
 
 
 class QueueProbe(NamedTuple):
-    """LRT -> head LCU (hardened mode): the queue for ``addr`` has been
+    """LRT -> head LCU: the queue for ``addr`` has been
     silent for longer than the orphan threshold; is the head node still
     alive?"""
     addr: int
@@ -247,7 +252,7 @@ class QueueProbeAck(NamedTuple):
     """head LCU -> LRT: answer to a :class:`QueueProbe`.  ``holding``
     distinguishes a node that *owns* the lock right now (ACQ/RCV entry,
     held-generation record, FLT park, overflow grant) from a mere
-    remnant (REL/WAIT): the lease watchdog may only revoke a silent
+    remnant (REL/WAIT): the watchdog may only revoke a silent
     queue whose probed head is alive but not holding."""
     addr: int
     tid: int
@@ -256,7 +261,7 @@ class QueueProbeAck(NamedTuple):
 
 
 class QueueReset(NamedTuple):
-    """LRT -> every LCU (hardened mode, broadcast): the queue for
+    """LRT -> every LCU (broadcast): the queue for
     ``addr`` was found orphaned (dead head, unreachable successors) and
     has been reclaimed.  LCUs drop their ISSUED/WAIT nodes for the
     address and wake their waiters, which re-request through the normal
@@ -295,34 +300,33 @@ class QueueResetAck(NamedTuple):
 
 
 # --------------------------------------------------------------------- #
-# gray-failure hardening messages (fencing + failure detection)
+# gray-failure messages (fencing + failure detection)
 
 
 class FencedOperation(NamedTuple):
-    """LRT -> LCU (hardened mode, fencing armed): the operation named by
-    ``op`` carried a fence token from a superseded era — its issuer is a
-    zombie whose lease was reclaimed while it was stalled or partitioned
-    away.  The LCU drops the stale local hold state and completes the
-    thread's instruction with a fenced result, routing it through a
-    fresh acquire instead of silent success."""
+    """LRT -> LCU (fencing armed): the operation named by ``op`` carried
+    a generation below the reclaim floor — its issuer is a zombie whose
+    hold was reclaimed while it was stalled or partitioned away.  The
+    LCU drops the stale local hold state and completes the thread's
+    instruction with a fenced result, routing it through a fresh
+    acquire instead of silent success."""
     addr: int
     tid: int
     op: str                 # "release" | "fwd"
     #: the fenced token's ``gen`` — lets the LCU tell the stale hold's
     #: leftovers from a *newer incarnation* under the same (addr, tid)
     #: key (the thread may have re-acquired before this arrives); only
-    #: state at or below this generation may be dropped.  -1 = unknown
-    #: (legacy senders): match any generation.
+    #: state at or below this generation may be dropped.  -1 (a fenced
+    #: forward, which names no hold): match any generation.
     gen: int = -1
 
 
 class Heartbeat(NamedTuple):
-    """core LCU -> every LRT (hardened mode, periodic): liveness beacon
-    feeding the per-core suspicion-level failure detector.  Carried as
-    a best-effort datagram by the reliable layer (never retransmitted —
-    a lost beat IS the signal), but still subject to wire faults: a
-    partitioned or zombied core's beats stop arriving (suspicion climbs
-    toward reclaim-fast) while a merely slow core keeps beating (the
-    lease watchdog probes it patiently instead of reclaiming a live
-    holder)."""
+    """core LCU -> every LRT (periodic): liveness beacon feeding the
+    per-core suspicion-level failure detector.  Carried as a best-effort
+    datagram by the reliable layer (never retransmitted — a lost beat IS
+    the signal), but still subject to wire faults: a partitioned or
+    zombied core's beats stop arriving (suspicion climbs toward
+    reclaim-fast) while a merely slow core keeps beating (the watchdog
+    probes it patiently instead of reclaiming a live holder)."""
     core: int
