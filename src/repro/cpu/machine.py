@@ -175,10 +175,10 @@ class Machine:
         """Hardware side of a crash-stop fault (after :meth:`harden`):
         the core's LCU dies with all its lock state, and every LRT is
         told the core is dead (so queue reclamation never waits on it).
-        Returns the tids whose
-        lock state was homed on the dead LCU — the caller must also kill
-        those threads (see :meth:`repro.cpu.os_sched.OS.crash_core`),
-        because their only record of holding/queueing died here."""
+        Returns the tids whose lock state was homed on the dead LCU —
+        the caller must also kill those threads (see
+        :meth:`repro.cpu.os_sched.OS.crash_core`), because their only
+        record of holding/queueing died here."""
         homed = self.lcus[core].crash()
         for lrt in self.lrts:
             lrt.note_dead_core(core)
