@@ -18,13 +18,12 @@ Commands:
 * ``diff``        — structurally diff two run reports; with
   ``--fail-on-regression``, exit 1 when a known-direction quantity
   moved past ``--threshold`` in the wrong direction.  With ``--host``,
-  diff two bench-trajectory records (or two ``--host-prof`` run
-  reports) instead: host throughput, attribution and event-queue
-  counters, under a noise-aware threshold.
-* ``bench``       — the host-performance observatory: run the pinned
-  engine benchmark matrix best-of-N, attribute host time to
-  subsystems, and append one record to the ``BENCH_engine.json``
-  trajectory.
+  diff two bench-trajectory records instead: host throughput and
+  event-queue counters, under a noise-aware threshold.
+* ``bench``       — run the pinned engine benchmark matrix best-of-N
+  with engine counters, and append one record to the
+  ``BENCH_engine.json`` trajectory.  Per-layer host time comes from
+  ``python perf/run.py --workload W --trace``.
 * ``sweep``       — shard a microbench matrix (cells x seeds) across
   worker processes and merge the per-shard telemetry into a single
   RunReport, byte-identical to the serial run (``--verify-serial``
@@ -40,9 +39,7 @@ The benchmark commands accept ``--metrics-out FILE`` (machine-readable
 run report), ``--trace-out FILE`` (Chrome trace-event JSON, loadable in
 Perfetto) and ``--sample-interval N`` (gauge time-series period in
 cycles); ``microbench`` and ``figure`` also take ``--profile`` to embed
-a profile section in the run report, ``microbench``/``stm``/``app``
-take ``--host-prof`` to charge host nanoseconds to subsystems (the
-``host`` section of RunReport v3), and ``microbench``/``figure``/
+a profile section in the run report, and ``microbench``/``figure``/
 ``app`` take ``--fairness`` to attach the fairness observatory (the
 ``fairness`` section of RunReport v4).  See README "Observability",
 "Profiling & regression gating", "Host performance" and "Fairness
@@ -141,13 +138,39 @@ def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_host_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--host-prof", action="store_true",
-        help="attribute *host* (wall-clock) nanoseconds to simulator "
-             "subsystems; with --metrics-out, embeds a 'host' section "
-             "in the run report, otherwise prints the summary",
-    )
+def _add_matrix_flags(parser: argparse.ArgumentParser, default_locks: str,
+                      csv_threads: bool = True) -> None:
+    """``--locks``/``--models`` (and a CSV ``--threads``) of a verb that
+    runs a lock x model matrix; :func:`_matrix_kwargs` reads them."""
+    parser.add_argument("--locks", default=None, metavar="CSV",
+                        help=f"comma-separated lock list "
+                             f"(default: {default_locks})")
+    parser.add_argument("--models", default=None, metavar="CSV",
+                        help="comma-separated model list (default: A,B)")
+    if csv_threads:
+        parser.add_argument("--threads", default=None, metavar="CSV",
+                            help="comma-separated thread counts "
+                                 f"(default: "
+                                 f"{','.join(map(str, DEFAULT_THREADS))})")
+
+
+def _add_trajectory_flags(parser: argparse.ArgumentParser,
+                          default_out: str) -> None:
+    """The record-keeping flags of a verb that appends one record to a
+    bench trajectory."""
+    parser.add_argument("--out", metavar="FILE", default=default_out,
+                        help=f"trajectory file to append to "
+                             f"(default: {default_out})")
+    parser.add_argument("--label", default=None,
+                        help="record label; appending an existing label "
+                             "replaces that record (idempotent re-runs)")
+    parser.add_argument("--note", default=None,
+                        help="free-form note stored in the record")
+    parser.add_argument("--no-append", action="store_true",
+                        help="don't touch the trajectory (use with "
+                             "--json-out for throwaway runs)")
+    parser.add_argument("--json-out", metavar="FILE", default=None,
+                        help="also write this run's single record here")
 
 
 def _obs_setup(args):
@@ -165,15 +188,6 @@ def _profiler_setup(args):
     from repro.obs.profile import ContentionProfiler
 
     return ContentionProfiler()
-
-
-def _host_setup(args):
-    """A :class:`HostProfiler` when ``--host-prof`` was given."""
-    if not getattr(args, "host_prof", False):
-        return None
-    from repro.obs.host import HostProfiler
-
-    return HostProfiler()
 
 
 def _add_fairness_flag(parser: argparse.ArgumentParser) -> None:
@@ -196,7 +210,7 @@ def _fairness_setup(args):
 
 
 def _obs_emit(args, kind, config, result, registry, tracer,
-              profiler=None, host=None, fairness=None) -> None:
+              profiler=None, fairness=None) -> None:
     """Write the run report / trace files requested on the command line."""
     if registry is not None:
         results = (
@@ -206,7 +220,6 @@ def _obs_emit(args, kind, config, result, registry, tracer,
         report = build_run_report(
             kind, config, results, metrics=registry.to_dict(),
             profile=profiler.to_dict() if profiler is not None else None,
-            host=host.to_dict() if host is not None else None,
             fairness=(fairness.to_dict() if fairness is not None
                       else None),
         )
@@ -215,8 +228,6 @@ def _obs_emit(args, kind, config, result, registry, tracer,
     else:
         if profiler is not None:
             print(profiler.summarize())
-        if host is not None:
-            print(host.summarize())
         if fairness is not None:
             from repro.obs.fairness import summarize_fairness
             print(summarize_fairness(fairness.to_dict()))
@@ -224,6 +235,27 @@ def _obs_emit(args, kind, config, result, registry, tracer,
         tracer.write_chrome_trace(args.trace_out)
         print(f"chrome trace: {args.trace_out} "
               f"({len(tracer.spans)} spans)")
+
+
+def _matrix_kwargs(args, csv_threads: bool = True):
+    """The ``locks``/``models``/``threads`` keyword arguments given by
+    a verb's ``--locks``/``--models``/``--threads`` CSV flags (only the
+    flags that were set).  ``csv_threads=False`` leaves ``--threads``
+    to the verb.  Returns None after reporting an unknown lock."""
+    kwargs = {}
+    if args.locks:
+        known = sorted(all_algorithms())
+        for lock in args.locks.split(","):
+            if lock not in known:
+                print(f"unknown lock {lock!r} (known: {', '.join(known)})",
+                      file=sys.stderr)
+                return None
+        kwargs["locks"] = tuple(args.locks.split(","))
+    if args.models:
+        kwargs["models"] = tuple(args.models.split(","))
+    if csv_threads and args.threads:
+        kwargs["threads"] = tuple(int(x) for x in args.threads.split(","))
+    return kwargs
 
 
 def cmd_tables(_args) -> int:
@@ -245,14 +277,13 @@ def cmd_microbench(args) -> int:
     config = _model(args.model)
     registry, tracer = _obs_setup(args)
     profiler = _profiler_setup(args)
-    host = _host_setup(args)
     fairness = _fairness_setup(args)
     r = run_microbench(
         config, args.lock, args.threads, args.write_pct,
         iters_per_thread=args.iters,
         registry=registry, tracer=tracer,
         sample_interval=args.sample_interval,
-        profiler=profiler, host_profiler=host, fairness=fairness,
+        profiler=profiler, fairness=fairness,
     )
     print(r)
     print(f"  fairness={r.fairness:.3f} acquire latency mean="
@@ -266,7 +297,7 @@ def cmd_microbench(args) -> int:
             "sample_interval": args.sample_interval,
             "machine": dataclasses.asdict(config),
         },
-        r, registry, tracer, profiler, host, fairness,
+        r, registry, tracer, profiler, fairness,
     )
     return 0
 
@@ -274,14 +305,12 @@ def cmd_microbench(args) -> int:
 def cmd_stm(args) -> int:
     config = _model(args.model)
     registry, tracer = _obs_setup(args)
-    host = _host_setup(args)
     r = run_stm_bench(
         config, args.variant, args.structure,
         threads=args.threads, initial_size=args.size,
         txns_per_thread=args.txns,
         registry=registry, tracer=tracer,
         sample_interval=args.sample_interval,
-        host_profiler=host,
     )
     print(r)
     _obs_emit(
@@ -293,7 +322,7 @@ def cmd_stm(args) -> int:
             "sample_interval": args.sample_interval,
             "machine": dataclasses.asdict(config),
         },
-        r, registry, tracer, host=host,
+        r, registry, tracer,
     )
     return 0
 
@@ -301,13 +330,12 @@ def cmd_stm(args) -> int:
 def cmd_app(args) -> int:
     config = _model(args.model)
     registry, tracer = _obs_setup(args)
-    host = _host_setup(args)
     fairness = _fairness_setup(args)
     r = run_app(config, args.name, args.lock,
                 threads=args.threads, seeds=list(range(1, args.seeds + 1)),
                 registry=registry, tracer=tracer,
                 sample_interval=args.sample_interval,
-                host_profiler=host, fairness=fairness)
+                fairness=fairness)
     print(r)
     _obs_emit(
         args, "app",
@@ -317,7 +345,7 @@ def cmd_app(args) -> int:
             "sample_interval": args.sample_interval,
             "machine": dataclasses.asdict(config),
         },
-        r, registry, tracer, host=host, fairness=fairness,
+        r, registry, tracer, fairness=fairness,
     )
     return 0
 
@@ -370,8 +398,6 @@ def cmd_figure(args) -> int:
 
 
 def cmd_report(args) -> int:
-    import json
-
     from repro.obs.host import (
         HostProfileError, is_trajectory, validate_trajectory,
     )
@@ -464,10 +490,36 @@ def cmd_profile(args) -> int:
     return 0
 
 
-def cmd_diff(args) -> int:
-    import json
+def _record_pair(args, old_obj, new_obj):
+    """The (OLD, NEW) records ``repro diff`` compares from two
+    trajectories.  ``--record`` picks NEW.  From two files OLD takes the
+    same index; from one file it takes the record just before NEW, so
+    the default compares the last two records.  Raises
+    :class:`HostProfileError` on an invalid trajectory or index."""
+    from repro.obs.host import (
+        HostProfileError, latest_record, validate_trajectory,
+    )
 
-    from repro.obs.diff import diff_host_records, diff_run_reports
+    validate_trajectory(old_obj)
+    validate_trajectory(new_obj)
+    new_rec = latest_record(new_obj, args.record)
+    if args.old != args.new:
+        return latest_record(old_obj, args.record), new_rec
+    records = new_obj["records"]
+    new_idx = args.record % len(records)
+    if new_idx == 0:
+        raise HostProfileError(
+            "--record selects the first record; there is no earlier "
+            "record to compare it with"
+        )
+    return records[new_idx - 1], new_rec
+
+
+def cmd_diff(args) -> int:
+    from repro.obs.diff import (
+        diff_fairness_records, diff_host_records, diff_run_reports,
+        is_fairness_record,
+    )
     from repro.obs.host import (
         HostProfileError, is_trajectory, latest_record, validate_trajectory,
     )
@@ -491,87 +543,43 @@ def cmd_diff(args) -> int:
             return 2
     old_obj, new_obj = objs
 
-    if args.host:
-        if is_trajectory(old_obj) and is_trajectory(new_obj):
-            try:
-                validate_trajectory(old_obj)
-                validate_trajectory(new_obj)
-                # same file twice: compare the last two records, the
-                # natural "did my engine PR help" invocation
-                old_idx = (args.record - 1 if args.old == args.new
-                           else args.record)
-                old_rec = latest_record(old_obj, old_idx)
-                new_rec = latest_record(new_obj, args.record)
-            except HostProfileError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-            d = diff_host_records(old_rec, new_rec, threshold=threshold)
-        elif is_trajectory(old_obj) or is_trajectory(new_obj):
-            print("error: --host needs two bench trajectories or two "
-                  "run reports, not one of each", file=sys.stderr)
+    def _latest_fairness(obj):
+        return is_trajectory(obj) and is_fairness_record(
+            (obj.get("records") or [{}])[-1]
+        )
+
+    what = ""
+    if args.host or (_latest_fairness(old_obj)
+                     and _latest_fairness(new_obj)):
+        if not (is_trajectory(old_obj) and is_trajectory(new_obj)):
+            print("error: --host compares two bench trajectories; "
+                  "per-layer host time comes from python perf/run.py "
+                  "--workload W --trace", file=sys.stderr)
             return 2
-        else:
-            for path, rep in zip((args.old, args.new), objs):
-                try:
-                    validate_run_report(rep)
-                except ReportValidationError as exc:
-                    print(f"invalid run report {path}: {exc}",
+        try:
+            old_rec, new_rec = _record_pair(args, old_obj, new_obj)
+        except HostProfileError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        if args.host:
+            d = diff_host_records(old_rec, new_rec, threshold=threshold)
+            env_mismatch = [m for m in d.config_mismatches
+                            if m[0].startswith("env.")]
+            if env_mismatch:
+                print("warning: environment fingerprint mismatch — host "
+                      "numbers compare machines, not code:",
+                      file=sys.stderr)
+                for key, old_v, new_v in env_mismatch:
+                    print(f"  {key}: {old_v!r} -> {new_v!r}",
                           file=sys.stderr)
-                    return 2
-                if "host" not in rep:
-                    print(f"error: {path} has no 'host' section "
-                          f"(re-run with --host-prof)", file=sys.stderr)
-                    return 2
-            d = diff_run_reports(old_obj, new_obj, threshold=threshold,
-                                 include_host=True)
-        env_mismatch = [m for m in d.config_mismatches
-                        if m[0].startswith("env.")]
-        if env_mismatch:
-            print("warning: environment fingerprint mismatch — host "
-                  "numbers compare machines, not code:", file=sys.stderr)
-            for key, old_v, new_v in env_mismatch:
-                print(f"  {key}: {old_v!r} -> {new_v!r}", file=sys.stderr)
-    else:
-        from repro.obs.diff import diff_fairness_records, is_fairness_record
-
-        def _latest_fairness(obj):
-            return is_trajectory(obj) and is_fairness_record(
-                (obj.get("records") or [{}])[-1]
-            )
-
-        if _latest_fairness(old_obj) and _latest_fairness(new_obj):
+        else:
             # two fairness trajectories (BENCH_fairness.json): compare
             # scorecard records — all simulated quantities, so the
             # default 10% gate applies without host-noise caveats
-            try:
-                validate_trajectory(old_obj)
-                validate_trajectory(new_obj)
-                old_idx = (args.record - 1 if args.old == args.new
-                           else args.record)
-                old_rec = latest_record(old_obj, old_idx)
-                new_rec = latest_record(new_obj, args.record)
-            except HostProfileError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
             d = diff_fairness_records(old_rec, new_rec,
                                       threshold=threshold)
-            print(d.summarize(top=args.top))
-            if args.json_out:
-                with open(args.json_out, "w") as f:
-                    json.dump(d.to_dict(), f, indent=1, sort_keys=True)
-                    f.write("\n")
-                print(f"diff report: {args.json_out}")
-            if d.has_regressions():
-                if args.fail_on_regression:
-                    print(
-                        f"FAIL: {len(d.regressions)} fairness "
-                        f"regression(s) beyond {threshold:.0%}",
-                        file=sys.stderr,
-                    )
-                    return 1
-                print(f"note: {len(d.regressions)} regression(s) found "
-                      f"(pass --fail-on-regression to gate)")
-            return 0
+            what = "fairness "
+    else:
         reports = []
         for path, obj in zip((args.old, args.new), objs):
             if is_trajectory(obj):
@@ -610,7 +618,7 @@ def cmd_diff(args) -> int:
     if d.has_regressions():
         if args.fail_on_regression:
             print(
-                f"FAIL: {len(d.regressions)} regression(s) beyond "
+                f"FAIL: {len(d.regressions)} {what}regression(s) beyond "
                 f"{threshold:.0%}",
                 file=sys.stderr,
             )
@@ -622,8 +630,7 @@ def cmd_diff(args) -> int:
 
 def cmd_bench(args) -> int:
     from repro.harness.bench import (
-        default_matrix, merged_folded, quick_matrix, run_bench,
-        summarize_cell,
+        default_matrix, quick_matrix, run_bench, summarize_cell,
     )
     from repro.obs.host import append_record
 
@@ -631,23 +638,9 @@ def cmd_bench(args) -> int:
         specs = quick_matrix(iters=args.iters)
         default_repeats = QUICK_REPEATS
     else:
-        known = sorted(all_algorithms())
-        locks = args.locks.split(",") if args.locks else None
-        for lock in locks or []:
-            if lock not in known:
-                print(f"unknown lock {lock!r} (known: {', '.join(known)})",
-                      file=sys.stderr)
-                return 2
-        models = args.models.split(",") if args.models else None
-        threads = ([int(x) for x in args.threads.split(",")]
-                   if args.threads else None)
-        kwargs = {}
-        if locks:
-            kwargs["locks"] = locks
-        if models:
-            kwargs["models"] = models
-        if threads:
-            kwargs["threads"] = threads
+        kwargs = _matrix_kwargs(args)
+        if kwargs is None:
+            return 2
         specs = default_matrix(
             write_pct=args.write_pct, iters=args.iters, seed=args.seed,
             **kwargs,
@@ -659,21 +652,13 @@ def cmd_bench(args) -> int:
         print("error: --repeats must be >= 1", file=sys.stderr)
         return 2
 
-    print(f"bench: {len(specs)} cell(s), best of {repeats}"
-          + (" (host attribution off)" if args.no_host_prof else ""))
-    record, profilers = run_bench(
-        specs, repeats=repeats, host_prof=not args.no_host_prof,
+    print(f"bench: {len(specs)} cell(s), best of {repeats}")
+    record = run_bench(
+        specs, repeats=repeats,
         profile=args.profile, sample_interval=args.sample_interval,
         embed_report=args.embed_report, label=args.label, note=args.note,
         progress=lambda cell: print(summarize_cell(cell)),
     )
-    if args.folded_out:
-        if profilers:
-            with open(args.folded_out, "w") as f:
-                f.write(merged_folded(profilers))
-            print(f"host folded stacks: {args.folded_out}")
-        else:
-            print("note: --folded-out ignored with --no-host-prof")
     if args.json_out:
         with open(args.json_out, "w") as f:
             json.dump(record, f, indent=1, sort_keys=True)
@@ -696,19 +681,9 @@ def cmd_fairness(args) -> int:
     from repro.obs.diff import diff_fairness_records
     from repro.obs.host import append_record, load_trajectory
 
-    known = sorted(all_algorithms())
-    locks = args.locks.split(",") if args.locks else None
-    for lock in locks or []:
-        if lock not in known:
-            print(f"unknown lock {lock!r} (known: {', '.join(known)})",
-                  file=sys.stderr)
-            return 2
-    models = args.models.split(",") if args.models else None
-    kwargs = {}
-    if locks:
-        kwargs["locks"] = tuple(locks)
-    if models:
-        kwargs["models"] = tuple(models)
+    kwargs = _matrix_kwargs(args, csv_threads=False)
+    if kwargs is None:
+        return 2
     if args.quick:
         # quick keeps the full lock x model coverage (the scorecard is
         # the point) and shrinks each cell instead
@@ -781,23 +756,9 @@ def cmd_sweep(args) -> int:
     )
     from repro.obs.report import write_run_report
 
-    known = sorted(all_algorithms())
-    locks = args.locks.split(",") if args.locks else None
-    for lock in locks or []:
-        if lock not in known:
-            print(f"unknown lock {lock!r} (known: {', '.join(known)})",
-                  file=sys.stderr)
-            return 2
-    models = args.models.split(",") if args.models else None
-    threads = ([int(x) for x in args.threads.split(",")]
-               if args.threads else None)
-    kwargs = {}
-    if locks:
-        kwargs["locks"] = locks
-    if models:
-        kwargs["models"] = models
-    if threads:
-        kwargs["threads"] = threads
+    kwargs = _matrix_kwargs(args)
+    if kwargs is None:
+        return 2
     specs = default_matrix(
         write_pct=args.write_pct, iters=args.iters, **kwargs,
     )
@@ -935,7 +896,7 @@ def cmd_faults(args) -> int:
     for cls in classes or []:
         if cls not in ALL_CLASSES:
             print(f"unknown fault class {cls!r} "
-                  f"(known: {', '.join(ALL_CLASSES)})")
+                  f"(known: {', '.join(ALL_CLASSES)})", file=sys.stderr)
             return 2
 
     def progress(cell) -> None:
@@ -987,7 +948,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="attach the contention profiler; with "
                          "--metrics-out, embeds a 'profile' section in "
                          "the run report, otherwise prints the summary")
-    _add_host_flag(mb)
     _add_fairness_flag(mb)
     mb.set_defaults(fn=cmd_microbench)
 
@@ -1001,7 +961,6 @@ def build_parser() -> argparse.ArgumentParser:
     st.add_argument("--size", type=int, default=512)
     st.add_argument("--txns", type=int, default=40)
     _add_obs_flags(st)
-    _add_host_flag(st)
     st.set_defaults(fn=cmd_stm)
 
     ap = sub.add_parser("app")
@@ -1013,7 +972,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--threads", type=int, default=0)
     ap.add_argument("--seeds", type=int, default=3)
     _add_obs_flags(ap)
-    _add_host_flag(ap)
     _add_fairness_flag(ap)
     ap.set_defaults(fn=cmd_app)
 
@@ -1078,10 +1036,9 @@ def build_parser() -> argparse.ArgumentParser:
                          "'unchanged' (default 0.10; 0.25 with --host "
                          "because host wall-clock is noisy)")
     df.add_argument("--host", action="store_true",
-                    help="compare *host* performance: cycles/host-sec, "
-                         "host-time attribution and engine counters "
-                         "from bench trajectories or --host-prof "
-                         "run reports")
+                    help="compare *host* performance of two bench "
+                         "trajectories: cycles/host-sec, best-of-N "
+                         "host seconds and engine counters")
     df.add_argument("--record", type=int, default=-1, metavar="N",
                     help="which trajectory record to compare (0-based; "
                          "negatives count from the end; default -1 = "
@@ -1099,22 +1056,14 @@ def build_parser() -> argparse.ArgumentParser:
     bn = sub.add_parser(
         "bench",
         help="benchmark the simulator itself: pinned matrix, best-of-N "
-             "host timings, host-time attribution; appends one record "
-             "to a trajectory (BENCH_engine.json)",
+             "host timings, engine counters; appends one record to a "
+             "trajectory (BENCH_engine.json)",
     )
     bn.add_argument("--quick", action="store_true",
                     help=f"single pinned cell "
                          f"({'/'.join(map(str, QUICK_CELL))}), best of "
                          f"{QUICK_REPEATS} — the CI smoke configuration")
-    bn.add_argument("--locks", default=None, metavar="CSV",
-                    help="comma-separated lock list "
-                         f"(default: {','.join(DEFAULT_LOCKS)})")
-    bn.add_argument("--models", default=None, metavar="CSV",
-                    help="comma-separated model list (default: A,B)")
-    bn.add_argument("--threads", default=None, metavar="CSV",
-                    help="comma-separated thread counts "
-                         f"(default: "
-                         f"{','.join(map(str, DEFAULT_THREADS))})")
+    _add_matrix_flags(bn, ",".join(DEFAULT_LOCKS))
     bn.add_argument("--write-pct", type=int, default=DEFAULT_WRITE_PCT)
     bn.add_argument("--iters", type=int, default=DEFAULT_ITERS,
                     help="lock/unlock iterations per thread")
@@ -1123,10 +1072,6 @@ def build_parser() -> argparse.ArgumentParser:
                          f"{DEFAULT_REPEATS}, {QUICK_REPEATS} with "
                          f"--quick)")
     bn.add_argument("--seed", type=int, default=1)
-    bn.add_argument("--no-host-prof", action="store_true",
-                    help="skip host-time attribution in the "
-                         "instrumented pass (engine counters are still "
-                         "collected)")
     bn.add_argument("--profile", action="store_true",
                     help="also attach the contention profiler and embed "
                          "a BENCH_profile-style digest per cell")
@@ -1135,25 +1080,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="gauge sampling interval for the instrumented "
                          "pass (0 = off)")
     bn.add_argument("--embed-report", action="store_true",
-                    help="embed a full run report (schema v3) per cell "
-                         "so plain 'repro diff' can read the "
-                         "trajectory")
-    bn.add_argument("--out", metavar="FILE", default="BENCH_engine.json",
-                    help="trajectory file to append to "
-                         "(default: BENCH_engine.json)")
-    bn.add_argument("--label", default=None,
-                    help="record label; appending an existing label "
-                         "replaces that record (idempotent re-runs)")
-    bn.add_argument("--note", default=None,
-                    help="free-form note stored in the record")
-    bn.add_argument("--no-append", action="store_true",
-                    help="don't touch the trajectory (use with "
-                         "--json-out for throwaway runs)")
-    bn.add_argument("--json-out", metavar="FILE", default=None,
-                    help="also write this run's single record here")
-    bn.add_argument("--folded-out", metavar="FILE", default=None,
-                    help="write merged host folded stacks "
-                         "(flamegraph.pl/speedscope format) here")
+                    help="embed a full run report per cell so plain "
+                         "'repro diff' can read the trajectory")
+    _add_trajectory_flags(bn, "BENCH_engine.json")
     bn.set_defaults(fn=cmd_bench)
 
     sw = sub.add_parser(
@@ -1162,15 +1091,7 @@ def build_parser() -> argparse.ArgumentParser:
              "and merge the shards into one deterministic RunReport "
              "(byte-identical to the serial run)",
     )
-    sw.add_argument("--locks", default=None, metavar="CSV",
-                    help="comma-separated lock list "
-                         f"(default: {','.join(DEFAULT_LOCKS)})")
-    sw.add_argument("--models", default=None, metavar="CSV",
-                    help="comma-separated model list (default: A,B)")
-    sw.add_argument("--threads", default=None, metavar="CSV",
-                    help="comma-separated thread counts "
-                         f"(default: "
-                         f"{','.join(map(str, DEFAULT_THREADS))})")
+    _add_matrix_flags(sw, ",".join(DEFAULT_LOCKS))
     sw.add_argument("--seeds", default="1", metavar="CSV",
                     help="comma-separated seed list; every cell runs "
                          "once per seed (default: 1)")
@@ -1204,11 +1125,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="shrink every cell (fewer threads, shorter "
                          "duration) while keeping the full lock x model "
                          "coverage — the CI smoke configuration")
-    fr.add_argument("--locks", default=None, metavar="CSV",
-                    help="comma-separated lock list (default: "
-                         "lcu,lcu_fb,ssb,mcs,ticket,mrsw,tatas)")
-    fr.add_argument("--models", default=None, metavar="CSV",
-                    help="comma-separated model list (default: A,B)")
+    _add_matrix_flags(fr, "lcu,lcu_fb,ssb,mcs,ticket,mrsw,tatas",
+                      csv_threads=False)
     fr.add_argument("--threads", type=int, default=12,
                     help="threads per cell (default 12; 8 with --quick)")
     fr.add_argument("--write-pct", type=int, default=20,
@@ -1235,20 +1153,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "beyond --threshold vs the trajectory's "
                          "latest record (or if the observatory "
                          "perturbed simulated cycles)")
-    fr.add_argument("--out", metavar="FILE",
-                    default="BENCH_fairness.json",
-                    help="trajectory file to append to "
-                         "(default: BENCH_fairness.json)")
-    fr.add_argument("--label", default=None,
-                    help="record label; appending an existing label "
-                         "replaces that record (idempotent re-runs)")
-    fr.add_argument("--note", default=None,
-                    help="free-form note stored in the record")
-    fr.add_argument("--no-append", action="store_true",
-                    help="don't touch the trajectory (use with "
-                         "--json-out for throwaway runs)")
-    fr.add_argument("--json-out", metavar="FILE", default=None,
-                    help="also write this run's single record here")
+    _add_trajectory_flags(fr, "BENCH_fairness.json")
     fr.set_defaults(fn=cmd_fairness)
 
     ck = sub.add_parser(

@@ -86,16 +86,13 @@ def run_app(
     registry=None,
     tracer=None,
     sample_interval: int = 0,
-    host_profiler=None,
     fairness=None,
 ) -> AppResult:
     """Run one app kernel under one lock model, averaged over seeds.
 
     ``registry`` accumulates machine counters across every seed;
     ``tracer`` records message spans for the *first* seed only (one
-    coherent timeline beats three overlaid ones); ``host_profiler``
-    accumulates host-time attribution across *all* seeds (it re-attaches
-    to each seed's fresh simulator); ``fairness`` (a
+    coherent timeline beats three overlaid ones); ``fairness`` (a
     :class:`repro.obs.fairness.FairnessObservatory`) observes the
     *first* seed only — arrival order is only meaningful within one
     machine, and each seed allocates fresh (colliding) lock
@@ -124,16 +121,13 @@ def run_app(
             run_fairness.attach_algorithm(algo)
             if registry is not None:
                 run_fairness.attach_registry(registry)
-        if host_profiler is not None:
-            host_profiler.attach(machine.sim)
         for i in range(threads):
             os_.spawn(
                 lambda t, i=i: app.worker(t, i), name=f"{app_name}-{i}"
             )
         elapsed = os_.run_all(max_cycles=max_cycles)
         acc.add(elapsed)
-        finish_run(machine, registry, run_tracer,
-                   host_profiler=host_profiler, fairness=run_fairness)
+        finish_run(machine, registry, run_tracer, fairness=run_fairness)
     return AppResult(
         app=app_name,
         lock=lock_name,

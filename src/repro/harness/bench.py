@@ -3,11 +3,12 @@
 The simulator's own speed is a first-class measured quantity: this
 module runs a pinned matrix of microbenchmark cells (locks x models x
 thread counts), times each cell best-of-N on the host clock, runs one
-extra *instrumented* pass per cell for host-time attribution and
-engine event-queue telemetry, and appends the result as one record to
-a machine-readable trajectory (``BENCH_engine.json``).  Engine PRs are
-then gated on ``repro diff --host --fail-on-regression`` against the
-previous record — measured cycles per host second, not anecdotes.
+extra *instrumented* pass per cell for engine event-queue telemetry,
+and appends the result as one record to a machine-readable trajectory
+(``BENCH_engine.json``).  ``repro diff --host`` compares two records:
+cycles per host second and the engine counters.  Per-layer host time
+is not measured here; ``python perf/run.py --workload W --trace``
+reports it.
 
 Methodology notes:
 
@@ -15,9 +16,9 @@ Methodology notes:
   no registry, tracer or profiler attached, so the recorded
   ``host_seconds_best`` is the real hot path.  The simulator is
   deterministic, so the extra instrumented pass re-produces bit-
-  identical simulated results (asserted in tests) while charging host
-  nanoseconds to subsystems; its own (slower) wall time is recorded
-  separately as ``instrumented_host_seconds``.
+  identical simulated results (asserted in tests) while collecting
+  counters; its own (slower) wall time is recorded separately as
+  ``instrumented_host_seconds``.
 * **Best-of-N, with dispersion.**  Host wall-clock on shared machines
   is noisy; the best repeat is the least-interfered-with run and the
   number to optimise, while mean/stdev/relative spread
@@ -32,10 +33,10 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.harness.microbench import run_microbench
-from repro.obs.host import HostProfiler, env_fingerprint
+from repro.obs.host import env_fingerprint
 from repro.obs.registry import MetricsRegistry
 from repro.obs.report import build_run_report
 from repro.params import model_a, model_b
@@ -97,18 +98,13 @@ def _config(model: str):
 def run_cell(
     spec: BenchCellSpec,
     repeats: int = DEFAULT_REPEATS,
-    host_prof: bool = True,
     profile: bool = False,
     sample_interval: int = 0,
     embed_report: bool = False,
-) -> Tuple[Dict[str, Any], Optional[HostProfiler]]:
+) -> Dict[str, Any]:
     """Run one cell: ``repeats`` uninstrumented timing passes plus one
-    instrumented pass (registry always; host attribution when
-    ``host_prof``; contention-profiler phase means when ``profile``).
-
-    Returns the JSON-safe cell dict and the cell's
-    :class:`HostProfiler` (None with ``host_prof`` off) so callers can
-    export folded stacks.
+    instrumented pass (registry always; contention-profiler phase means
+    when ``profile``), and return the JSON-safe cell dict.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
@@ -125,11 +121,10 @@ def run_cell(
     stats = dispersion(timings)
 
     # instrumented pass: deterministic re-run of the same cell for
-    # attribution + event-queue counters.  Its wall time is recorded
+    # event-queue counters.  Its wall time is recorded
     # (bench.instrumented_pass.host_ns via a registry HostTimer and the
     # instrumented_host_seconds field) but never used for throughput.
     registry = MetricsRegistry()
-    host = HostProfiler() if host_prof else None
     profiler = None
     if profile:
         from repro.obs.profile import ContentionProfiler
@@ -139,7 +134,7 @@ def run_cell(
         _config(spec.model), spec.lock, spec.threads, spec.write_pct,
         iters_per_thread=spec.iters, seed=spec.seed,
         registry=registry, sample_interval=sample_interval,
-        profiler=profiler, host_profiler=host,
+        profiler=profiler,
     )
     instr_ns = timer.stop()
 
@@ -184,8 +179,6 @@ def run_cell(
         "engine": engine,
     }
 
-    if host is not None:
-        cell["host"] = host.to_dict()
     if profiler is not None:
         cell["profile"] = _profile_digest(
             profiler, result, instr, stats["best"], instr_ns / 1e9
@@ -203,9 +196,8 @@ def run_cell(
             dataclasses.asdict(instr),
             metrics=registry.to_dict(),
             profile=profiler.to_dict() if profiler is not None else None,
-            host=host.to_dict() if host is not None else None,
         )
-    return cell, host
+    return cell
 
 
 def _profile_digest(
@@ -238,29 +230,21 @@ def _profile_digest(
 def run_bench(
     specs: List[BenchCellSpec],
     repeats: int = DEFAULT_REPEATS,
-    host_prof: bool = True,
     profile: bool = False,
     sample_interval: int = 0,
     embed_report: bool = False,
     label: Optional[str] = None,
     note: Optional[str] = None,
     progress: Optional[Callable[[Dict[str, Any]], None]] = None,
-) -> Tuple[Dict[str, Any], List[HostProfiler]]:
-    """Run the matrix and build one trajectory record.
-
-    Returns the record and the per-cell host profilers (empty list with
-    ``host_prof`` off) for folded-stack export.
-    """
+) -> Dict[str, Any]:
+    """Run the matrix and build one trajectory record."""
     cells: List[Dict[str, Any]] = []
-    profilers: List[HostProfiler] = []
     for spec in specs:
-        cell, host = run_cell(
-            spec, repeats=repeats, host_prof=host_prof, profile=profile,
+        cell = run_cell(
+            spec, repeats=repeats, profile=profile,
             sample_interval=sample_interval, embed_report=embed_report,
         )
         cells.append(cell)
-        if host is not None:
-            profilers.append(host)
         if progress is not None:
             progress(cell)
     record: Dict[str, Any] = {
@@ -274,23 +258,13 @@ def run_bench(
         record["label"] = label
     if note:
         record["note"] = note
-    return record, profilers
-
-
-def merged_folded(profilers: List[HostProfiler]) -> str:
-    """Sum folded-stack rows across cells into one host flamegraph."""
-    rows: Dict[str, int] = {}
-    for host in profilers:
-        for line in host.folded().splitlines():
-            path, ns = line.rsplit(" ", 1)
-            rows[path] = rows.get(path, 0) + int(ns)
-    return "".join(f"{path} {ns}\n" for path, ns in sorted(rows.items()))
+    return record
 
 
 def summarize_cell(cell: Dict[str, Any]) -> str:
     """One human-readable bench line per cell."""
     mcyc = cell["cycles_per_host_sec"] / 1e6
-    line = (
+    return (
         f"{cell['lock']:7s} model {cell['model']} t={cell['threads']:<3d} "
         f"{cell['host_seconds_best']:7.3f}s best of {cell['repeats']} "
         f"(±{cell['host_seconds_stdev']:.3f})  "
@@ -298,13 +272,3 @@ def summarize_cell(cell: Dict[str, Any]) -> str:
         f"{cell['engine']['events_processed']:>8.0f} events "
         f"(depth peak {cell['engine']['queue_depth_peak']:.0f})"
     )
-    host = cell.get("host")
-    if host and host.get("total_ns"):
-        top = max(
-            host["subsystems"].items(), key=lambda kv: kv[1],
-            default=(None, 0),
-        )
-        if top[0]:
-            line += (f"  top host cost: {top[0]} "
-                     f"{100.0 * top[1] / host['total_ns']:.0f}%")
-    return line

@@ -74,7 +74,6 @@ def run_microbench(
     tracer=None,
     sample_interval: int = 0,
     profiler=None,
-    host_profiler=None,
     fairness=None,
 ) -> MicrobenchResult:
     """Run the single-lock critical-section benchmark.
@@ -89,10 +88,7 @@ def run_microbench(
     :class:`repro.obs.SpanTracer`) records per-thread acquire / CS spans
     and network message spans; ``profiler`` (a
     :class:`repro.obs.profile.ContentionProfiler`) attributes acquire
-    latency to protocol phases via hardware probes; ``host_profiler``
-    (a :class:`repro.obs.host.HostProfiler`) routes the engine through
-    its instrumented dispatch loop, charging *host* nanoseconds to
-    subsystems (``--host-prof``); ``fairness`` (a
+    latency to protocol phases via hardware probes; ``fairness`` (a
     :class:`repro.obs.fairness.FairnessObservatory`) keeps the
     arrival-vs-grant overtake ledger, per-mode wait histograms,
     starvation watchdog and SLO clock (``--fairness``).  All default to
@@ -118,8 +114,6 @@ def run_microbench(
         fairness.attach_algorithm(algo)
         if registry is not None:
             fairness.attach_registry(registry)
-    if host_profiler is not None:
-        host_profiler.attach(machine.sim)
 
     per_thread_cs = [0] * threads
     writer_cs = [0]
@@ -201,7 +195,7 @@ def run_microbench(
             "bench.acquire_latency", bucket_width=acquire_lat.bucket_width
         ).merge(acquire_lat)
     finish_run(machine, registry, tracer, profiler=profiler,
-               host_profiler=host_profiler, fairness=fairness)
+               fairness=fairness)
     # the Jain index: observatory-backed when attached (the one shared
     # ledger implementation), computed from per-thread grant counts
     # either way — both paths agree by construction

@@ -71,15 +71,12 @@ def run_stm_bench(
     registry=None,
     tracer=None,
     sample_interval: int = 0,
-    host_profiler=None,
 ) -> StmBenchResult:
     """Run one STM benchmark configuration and return its result.
 
     ``registry`` / ``tracer`` enable telemetry (machine counters, STM
-    abort breakdown, per-thread transaction spans); ``host_profiler``
-    attributes host time to subsystems (see
-    :class:`repro.obs.host.HostProfiler`).  All are off by default and
-    cost nothing when absent."""
+    abort breakdown, per-thread transaction spans).  Both are off by
+    default and cost nothing when absent."""
     if structure not in STRUCTURES:
         raise ValueError(f"unknown structure {structure!r}")
     machine = Machine(config)
@@ -88,8 +85,6 @@ def run_stm_bench(
         attach_machine_metrics(machine, registry, sample_interval)
     if tracer is not None:
         tracer.attach(machine)
-    if host_profiler is not None:
-        host_profiler.attach(machine.sim)
     if structure == "hash":
         struct = HashTable(stm, buckets=max(16, initial_size // 4))
     else:
@@ -139,8 +134,7 @@ def run_stm_bench(
     s = stm.stats
     if registry is not None:
         registry.counter("bench.txns").inc(txns)
-    finish_run(machine, registry, tracer, stm=stm,
-               host_profiler=host_profiler)
+    finish_run(machine, registry, tracer, stm=stm)
     return StmBenchResult(
         variant=variant,
         structure=structure,

@@ -22,10 +22,9 @@ The observability layer of the reproduction (see README "Observability"):
   (``python -m repro profile``).
 * :mod:`repro.obs.diff` — structural RunReport diffing with relative-
   threshold regression verdicts (``python -m repro diff``).
-* :mod:`repro.obs.host` — :class:`HostProfiler`: host-time attribution
-  for the simulator itself (which subsystem burns host nanoseconds),
-  engine event-queue telemetry, environment fingerprints and the
+* :mod:`repro.obs.host` — environment fingerprints and the
   ``repro.bench-trajectory`` schema behind ``python -m repro bench``.
+  Per-layer host time comes from ``python perf/run.py --trace``.
 * :mod:`repro.obs.fairness` — :class:`FairnessObservatory`: passive
   fairness/starvation observatory — arrival-vs-grant overtake ledger,
   per-thread wait histograms, sliding-window Jain/writer-share series,
@@ -45,7 +44,6 @@ from repro.obs.fairness import (
 )
 from repro.obs.host import (
     HostProfileError,
-    HostProfiler,
     append_record,
     env_fingerprint,
     load_trajectory,
@@ -99,7 +97,7 @@ __all__ = [
     "harvest_stm_metrics", "finish_run",
     "ContentionProfiler", "ProfileError", "validate_profile",
     "RunReportDiff", "diff_run_reports",
-    "HostProfiler", "HostProfileError", "validate_host_section",
+    "HostProfileError", "validate_host_section",
     "env_fingerprint", "load_trajectory", "append_record",
     "validate_trajectory",
     "FairnessObservatory", "OvertakeLedger", "StarvationAlert",

@@ -20,14 +20,14 @@ experiments* is almost always user error, so config mismatches are
 listed prominently (but are not regressions).
 
 ``python -m repro diff --host`` extends the same machinery to *host*
-performance: it compares two bench-trajectory records (or two v3
-RunReports with ``host`` sections) — cycles-per-host-second, best-of-N
-host seconds, per-subsystem host-time attribution and the engine's
+performance: it compares two bench-trajectory records —
+cycles-per-host-second, best-of-N host seconds and the engine's
 event-queue counters.  Host wall-clock is noisy where simulated cycles
 are exact, so host diffs use their own (more generous) threshold and
 carry the records' environment fingerprints: a mismatch (different
 python, different machine) is flagged because it compares machines,
-not code.
+not code.  Per-layer host time is not diffed here; ``python
+perf/run.py --trace`` reports it.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ import dataclasses
 from typing import Any, Dict, List, Optional, Tuple
 
 #: name substrings implying "smaller is better" (latency-like).
-#: "host" covers every host-time quantity (host_seconds_*, host_ns.*,
-#: host.total_ns) — all of them are time burned.
+#: "host" covers every host-time quantity (host_seconds_*) — time
+#: burned.
 LOWER_IS_BETTER = (
     "latency", "lat", "cycles", "elapsed", "abort", "retries", "retry",
     "timeout", "failures", "failed", "misses", "invalidations",
@@ -126,28 +126,20 @@ def _numeric_leaves(obj: Any, prefix: str) -> Dict[str, float]:
     return out
 
 
-def _comparable(
-    report: Dict[str, Any], include_host: bool = False
-) -> Dict[str, float]:
+def _comparable(report: Dict[str, Any]) -> Dict[str, float]:
     """Extract the quantities worth diffing from one RunReport.
 
-    ``include_host`` adds the v3 ``host`` section (total + per-subsystem
-    nanoseconds).  Host times are wall-clock noise on shared machines,
-    so they only enter the comparison when the caller asked for a host
-    diff — adding ``--host-prof`` to a run can never fail the ordinary
+    Host wall-clock never enters: an older report's ``host`` section and
+    registry HostTimer counters (the ``.host_ns`` convention) are
+    nondeterministic, so they would flake the deterministic
     simulated-metrics gate."""
     out: Dict[str, float] = {}
     out.update(_numeric_leaves(report.get("results", {}), "results"))
     metrics = report.get("metrics", {})
     counters = _numeric_leaves(metrics.get("counters", {}),
                                "metrics.counters")
-    if not include_host:
-        # registry HostTimer counters (".host_ns" convention) are host
-        # wall-clock: nondeterministic, so they would flake the
-        # deterministic simulated-metrics gate
-        counters = {k: v for k, v in counters.items()
-                    if not k.endswith(".host_ns")}
-    out.update(counters)
+    out.update((k, v) for k, v in counters.items()
+               if not k.endswith(".host_ns"))
     for name, h in metrics.get("histograms", {}).items():
         if not isinstance(h, dict):
             continue
@@ -201,14 +193,6 @@ def _comparable(
             ):
                 out[f"{base}.slo.time_in_violation"] = \
                     slo["time_in_violation"]
-    if include_host:
-        host = report.get("host")
-        if isinstance(host, dict):
-            if isinstance(host.get("total_ns"), (int, float)):
-                out["host.total_ns"] = host["total_ns"]
-            subs = host.get("subsystems")
-            if isinstance(subs, dict):
-                out.update(_numeric_leaves(subs, "host.host_ns"))
     return out
 
 
@@ -298,23 +282,12 @@ class RunReportDiff:
         return "\n".join(lines)
 
 
-def diff_run_reports(
-    old: Dict[str, Any],
-    new: Dict[str, Any],
-    threshold: float = 0.10,
-    include_host: bool = False,
-) -> RunReportDiff:
-    """Compare two (already validated) RunReport dicts.
-
-    ``threshold`` is the relative change below which a quantity counts
-    as ``unchanged``; only known-direction quantities beyond it become
-    ``regression``/``improvement``.  ``include_host`` also compares the
-    v3 ``host`` sections (see :func:`_comparable`).
-    """
+def _diff_entries(
+    old_q: Dict[str, float], new_q: Dict[str, float], threshold: float
+) -> List[DiffEntry]:
+    """Pair up two flattened quantity maps, sorted by verdict then key."""
     if threshold < 0:
         raise ValueError("threshold must be >= 0")
-    old_q = _comparable(old, include_host=include_host)
-    new_q = _comparable(new, include_host=include_host)
     entries: List[DiffEntry] = []
     for key in sorted(set(old_q) | set(new_q)):
         if key not in new_q:
@@ -330,7 +303,21 @@ def diff_run_reports(
             entries.append(DiffEntry(key, old_q[key], new_q[key],
                                      ratio, verdict, direction))
     entries.sort(key=lambda e: (VERDICTS.index(e.verdict), e.key))
+    return entries
 
+
+def diff_run_reports(
+    old: Dict[str, Any],
+    new: Dict[str, Any],
+    threshold: float = 0.10,
+) -> RunReportDiff:
+    """Compare two (already validated) RunReport dicts.
+
+    ``threshold`` is the relative change below which a quantity counts
+    as ``unchanged``; only known-direction quantities beyond it become
+    ``regression``/``improvement``.
+    """
+    entries = _diff_entries(_comparable(old), _comparable(new), threshold)
     mismatches: List[Tuple[str, Any, Any]] = []
     old_cfg = old.get("config", {})
     new_cfg = new.get("config", {})
@@ -366,11 +353,6 @@ def host_comparable(record: Dict[str, Any]) -> Dict[str, float]:
         engine = cell.get("engine")
         if isinstance(engine, dict):
             out.update(_numeric_leaves(engine, f"{prefix}.engine"))
-        host = cell.get("host")
-        if isinstance(host, dict):
-            subs = host.get("subsystems")
-            if isinstance(subs, dict):
-                out.update(_numeric_leaves(subs, f"{prefix}.host_ns"))
     return out
 
 
@@ -434,36 +416,10 @@ def diff_fairness_records(
     fairness drop — lower Jain, a bigger worst overtake, a starved
     writer share, a fatter p999 wait — earns a **regression** verdict
     through the same direction machinery as ``repro diff``."""
-    if threshold < 0:
-        raise ValueError("threshold must be >= 0")
-    old_q = fairness_comparable(old)
-    new_q = fairness_comparable(new)
-    entries: List[DiffEntry] = []
-    for key in sorted(set(old_q) | set(new_q)):
-        if key not in new_q:
-            entries.append(DiffEntry(key, old_q[key], None, None,
-                                     "removed", direction_of(key)))
-        elif key not in old_q:
-            entries.append(DiffEntry(key, None, new_q[key], None,
-                                     "added", direction_of(key)))
-        else:
-            ratio, verdict, direction = _verdict(
-                key, old_q[key], new_q[key], threshold
-            )
-            entries.append(DiffEntry(key, old_q[key], new_q[key],
-                                     ratio, verdict, direction))
-    entries.sort(key=lambda e: (VERDICTS.index(e.verdict), e.key))
-
-    from repro.obs.host import fingerprint_mismatches
-    mismatches: List[Tuple[str, Any, Any]] = [
-        (f"env.{k}", o, n)
-        for k, o, n in fingerprint_mismatches(
-            old.get("env") or {}, new.get("env") or {}
-        )
-    ]
-    if old.get("label") != new.get("label"):
-        mismatches.append(("label", old.get("label"), new.get("label")))
-    return RunReportDiff(entries, mismatches, threshold)
+    entries = _diff_entries(
+        fairness_comparable(old), fairness_comparable(new), threshold
+    )
+    return _record_diff(old, new, entries, threshold)
 
 
 def diff_host_records(
@@ -479,26 +435,20 @@ def diff_host_records(
     reported through ``config_mismatches`` (``env.python`` etc.) so the
     caller can warn that the two records measured different machines.
     """
-    if threshold < 0:
-        raise ValueError("threshold must be >= 0")
-    old_q = host_comparable(old)
-    new_q = host_comparable(new)
-    entries: List[DiffEntry] = []
-    for key in sorted(set(old_q) | set(new_q)):
-        if key not in new_q:
-            entries.append(DiffEntry(key, old_q[key], None, None,
-                                     "removed", direction_of(key)))
-        elif key not in old_q:
-            entries.append(DiffEntry(key, None, new_q[key], None,
-                                     "added", direction_of(key)))
-        else:
-            ratio, verdict, direction = _verdict(
-                key, old_q[key], new_q[key], threshold
-            )
-            entries.append(DiffEntry(key, old_q[key], new_q[key],
-                                     ratio, verdict, direction))
-    entries.sort(key=lambda e: (VERDICTS.index(e.verdict), e.key))
+    entries = _diff_entries(
+        host_comparable(old), host_comparable(new), threshold
+    )
+    return _record_diff(old, new, entries, threshold)
 
+
+def _record_diff(
+    old: Dict[str, Any],
+    new: Dict[str, Any],
+    entries: List[DiffEntry],
+    threshold: float,
+) -> RunReportDiff:
+    """Wrap two trajectory records' entries, reporting environment-
+    fingerprint and label differences as config mismatches."""
     from repro.obs.host import fingerprint_mismatches
     mismatches: List[Tuple[str, Any, Any]] = [
         (f"env.{k}", o, n)

@@ -1,26 +1,10 @@
-"""Host-performance observatory: where does *host* time go?
+"""Host-benchmark records: environment fingerprints and the bench
+trajectory schema.
 
-``repro.obs`` measures the simulated machine; this module measures the
-simulator itself.  It is the evidence-gathering half of the engine-speed
-roadmap item: before rewriting the discrete-event core we want the same
-measurement discipline the paper applies to lock fairness applied to our
-own hot path.
+``repro.obs`` measures the simulated machine; this module holds what the
+host-speed tooling shares.  Per-layer host time is measured outside the
+simulator, by ``python perf/run.py --workload W --trace``.
 
-Three pieces:
-
-* :class:`HostProfiler` — the attribution sink that takes the engine's
-  dispatch slot (:attr:`repro.sim.engine.Simulator.dispatch`).  Each
-  event handler runs inside :meth:`HostProfiler.dispatch`, which charges
-  its host time to the handler's *subsystem* (classified once per code
-  object from the handler's defining module — ``repro.net`` -> ``net``,
-  ``repro.lcu`` -> ``lcu``, ...).  The time probes take after an event
-  goes to ``obs`` (as do sampling ticks, which are ``repro.obs``
-  handlers), and the time between one handler and the next that no
-  probe took goes to ``engine`` (queue ops, bound checks).  Because the
-  charge intervals tile the profiled stretch, per-subsystem totals sum
-  to ``total_ns`` *by construction*.  Per-handler totals feed a folded-
-  stack export for host flamegraphs and the ``host`` section of
-  RunReport schema v3.
 * :func:`env_fingerprint` — the environment stamp every bench record
   carries (python version/implementation, platform, CPU count) so a
   trajectory mixing machines is visible instead of silently noisy.
@@ -28,10 +12,8 @@ Three pieces:
   the machine-readable, append-only record list behind
   ``BENCH_engine.json`` and ``python -m repro bench``; see
   :mod:`repro.harness.bench` for the runner that produces records.
-
-Zero-cost contract: nothing here is imported by the simulator; with no
-profiler attached the dispatch slot is empty and ``--host-prof`` off
-costs one None-check per event.
+* :func:`validate_host_section` — checks the ``host`` sections that
+  older records and v3 RunReports carry.  Nothing writes them any more.
 """
 
 from __future__ import annotations
@@ -39,306 +21,11 @@ from __future__ import annotations
 import json
 import os
 import platform
-import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
-
-from repro.sim.engine import SimulationError
-
-#: attribution buckets, in report order.  ``engine`` is the event loop
-#: itself; ``obs`` is observability overhead (probes, sampling ticks,
-#: span bookkeeping) charged to its own bucket so telemetry can never
-#: masquerade as simulation work; ``other`` catches handlers defined
-#: outside the repro package (tests, examples, ad-hoc scripts).
-SUBSYSTEMS = (
-    "engine", "net", "mem", "lcu", "ssb", "stm", "locks", "cpu",
-    "apps", "harness", "obs", "check", "faults", "other",
-)
-
-#: second component of a ``repro.*`` module path -> subsystem bucket.
-_PKG_TO_SUBSYSTEM = {
-    "sim": "engine",
-    "net": "net",
-    "mem": "mem",
-    "lcu": "lcu",
-    "ssb": "ssb",
-    "stm": "stm",
-    "locks": "locks",
-    "cpu": "cpu",
-    "apps": "apps",
-    "harness": "harness",
-    "obs": "obs",
-    "check": "check",
-    "faults": "faults",
-}
+from typing import Any, Dict, List, Tuple
 
 
 class HostProfileError(ValueError):
     """Malformed host section / bench trajectory."""
-
-
-def classify_module(module: Optional[str]) -> str:
-    """Map a handler's defining module to its attribution bucket."""
-    if not module:
-        return "other"
-    parts = module.split(".")
-    if parts[0] != "repro" or len(parts) < 2:
-        return "other"
-    return _PKG_TO_SUBSYSTEM.get(parts[1], "other")
-
-
-class HostProfiler:
-    """Charges host nanoseconds to subsystems and per-event handlers.
-
-    :meth:`dispatch` (the simulator's dispatch slot while attached) reads
-    the clock around each handler and calls :meth:`charge` (loop and
-    probe intervals) and :meth:`charge_event` (handler intervals); both
-    are a couple of dict operations, which is the entire per-event
-    overhead of ``--host-prof``.  Handler classification is cached per
-    code object, so the string work happens once per handler *kind*, not
-    per event.
-
-    ``engine`` is measured from :meth:`attach`: it covers the loop's
-    work between handlers and, between two ``run()`` calls, whatever the
-    caller does while the profiler stays attached.
-    """
-
-    #: host clock, overridable in tests for deterministic charging
-    clock: Callable[[], int] = staticmethod(time.perf_counter_ns)
-
-    def __init__(self) -> None:
-        self.subsystems: Dict[str, int] = {}
-        #: handler qualname -> [subsystem, ns, events]
-        self._handlers: Dict[str, List[Any]] = {}
-        self.total_ns: int = 0
-        #: classification cache keyed by code object (closures share one)
-        self._cache: Dict[Any, Tuple[str, str]] = {}
-        self._sims: List[Any] = []
-        #: clock reading at the end of the last charged interval
-        self._mark: int = 0
-        #: engine event-queue stats folded in at detach time
-        self.engine_stats: Dict[str, float] = {}
-
-    # ------------------------------------------------------------------ #
-    # attachment
-
-    def attach(self, sim) -> None:
-        """Take ``sim``'s dispatch slot and time its probes."""
-        current = sim.dispatch
-        if current is not None and getattr(current, "__self__", None) is not self:
-            raise SimulationError("the simulator's dispatch slot is taken")
-        sim.dispatch = self.dispatch
-        if not isinstance(sim._probes, _TimedProbes):
-            sim._probes = _TimedProbes(self, sim._probes)
-        self._mark = self.clock()
-        if sim not in self._sims:
-            self._sims.append(sim)
-
-    def detach(self) -> None:
-        """Detach from every simulator, folding each one's event-queue
-        stats (:meth:`~repro.sim.engine.Simulator.engine_stats`) into
-        :attr:`engine_stats` (sums; depth peak as max, depth mean
-        event-weighted).  Idempotent."""
-        for sim in self._sims:
-            self._merge_engine_stats(sim.engine_stats())
-            sim.dispatch = None
-            sim._probes = list.copy(sim._probes)  # not via __iter__
-        self._sims = []
-
-    def dispatch(self, now: int, fn: Callable[[], None]) -> None:
-        """Run one event, charging the time since the previous handler
-        (or probe pass) to ``engine`` and the handler's own time to its
-        subsystem."""
-        clock = self.clock
-        t0 = clock()
-        self.charge("engine", t0 - self._mark)
-        fn()
-        t1 = clock()
-        self.charge_event(fn, t1 - t0)
-        self._mark = t1
-
-    def _merge_engine_stats(self, stats: Dict[str, float]) -> None:
-        acc = self.engine_stats
-        old_events = acc.get("events_processed", 0)
-        new_events = stats.get("events_processed", 0)
-        for key, value in stats.items():
-            if key == "queue_depth_peak":
-                acc[key] = max(acc.get(key, 0), value)
-            elif key == "queue_depth_mean":
-                total = old_events + new_events
-                if total:
-                    acc[key] = (
-                        acc.get(key, 0.0) * old_events + value * new_events
-                    ) / total
-            else:
-                acc[key] = acc.get(key, 0) + value
-
-    # ------------------------------------------------------------------ #
-    # charging
-
-    def charge(self, subsystem: str, ns: int) -> None:
-        """Charge ``ns`` host nanoseconds to ``subsystem``."""
-        if ns < 0:  # non-monotonic clock hiccup: drop, never go negative
-            return
-        self.total_ns += ns
-        self.subsystems[subsystem] = self.subsystems.get(subsystem, 0) + ns
-
-    def charge_event(self, fn: Callable[[], None], ns: int) -> None:
-        """Charge ``ns`` to the subsystem and handler that ``fn``
-        belongs to.
-
-        Classification is cached: per code object for plain functions
-        and closures, per (code, owner class) for bound methods — the
-        slotted-dispatch rework schedules bound methods and callable
-        objects where closures used to be, and a bound method's
-        *function* can live in a different module than the object it is
-        bound to (mixins, monkeypatched handlers), so when the function
-        module classifies ``other`` the owner's class module decides.
-        Builtin bound methods (``deque.popleft`` and friends) have no
-        ``__code__`` at all and classify purely by owner class.
-        """
-        owner = getattr(fn, "__self__", None)
-        func = getattr(fn, "__func__", fn)
-        code = getattr(func, "__code__", None)
-        if code is not None:
-            key = code if owner is None else (code, type(owner))
-        elif owner is not None:  # builtin bound method
-            key = (type(owner), getattr(fn, "__name__", ""))
-        else:  # callable object
-            key = type(fn)
-        ent = self._cache.get(key)
-        if ent is None:
-            if code is not None:
-                module = getattr(func, "__module__", None)
-                qual = getattr(func, "__qualname__", repr(fn))
-                sub = classify_module(module)
-                if sub == "other" and owner is not None:
-                    sub = classify_module(type(owner).__module__)
-            elif owner is not None:
-                cls = type(owner)
-                qual = (cls.__qualname__ + "."
-                        + (getattr(fn, "__name__", None) or "?"))
-                sub = classify_module(cls.__module__)
-            else:  # callable object: classify by its class
-                cls = type(fn)
-                qual = cls.__qualname__ + ".__call__"
-                sub = classify_module(cls.__module__)
-            ent = self._cache[key] = (sub, qual)
-        subsystem, qual = ent
-        if ns < 0:
-            return
-        self.total_ns += ns
-        self.subsystems[subsystem] = self.subsystems.get(subsystem, 0) + ns
-        h = self._handlers.get(qual)
-        if h is None:
-            self._handlers[qual] = [subsystem, ns, 1]
-        else:
-            h[1] += ns
-            h[2] += 1
-
-    # ------------------------------------------------------------------ #
-    # export
-
-    @property
-    def handlers(self) -> Dict[str, Dict[str, Any]]:
-        return {
-            qual: {"subsystem": sub, "ns": ns, "events": events}
-            for qual, (sub, ns, events) in sorted(self._handlers.items())
-        }
-
-    def to_dict(self) -> Dict[str, Any]:
-        """The ``host`` section of a RunReport (schema v3)."""
-        out: Dict[str, Any] = {
-            "enabled": True,
-            "total_ns": self.total_ns,
-            "subsystems": {
-                name: ns for name, ns in sorted(self.subsystems.items())
-            },
-            "handlers": self.handlers,
-        }
-        if self.engine_stats:
-            out["engine"] = dict(self.engine_stats)
-        return out
-
-    def folded(self) -> str:
-        """Folded-stack lines (``host;<subsystem>;<handler> <ns>``) for
-        flamegraph.pl / speedscope, one frame path per handler plus a
-        synthetic frame for unattributed loop/probe time."""
-        rows: Dict[str, int] = {}
-        for qual, (sub, ns, _events) in self._handlers.items():
-            rows[f"host;{sub};{qual}"] = rows.get(f"host;{sub};{qual}", 0) + ns
-        attributed: Dict[str, int] = {}
-        for _path, _ns in rows.items():
-            sub = _path.split(";", 2)[1]
-            attributed[sub] = attributed.get(sub, 0) + _ns
-        for sub, ns in self.subsystems.items():
-            rest = ns - attributed.get(sub, 0)
-            if rest > 0:
-                label = "loop" if sub == "engine" else "overhead"
-                rows[f"host;{sub};[{label}]"] = rest
-        return "".join(
-            f"{path} {ns}\n" for path, ns in sorted(rows.items()) if ns > 0
-        )
-
-    def write_folded(self, path: str) -> None:
-        with open(path, "w") as f:
-            f.write(self.folded())
-
-    def summarize(self, top: int = 8) -> str:
-        """Human-readable digest for the CLI."""
-        lines = [f"host time: {self.total_ns / 1e6:.1f} ms attributed"]
-        total = self.total_ns or 1
-        for name, ns in sorted(
-            self.subsystems.items(), key=lambda kv: -kv[1]
-        ):
-            lines.append(
-                f"  {name:8s} {ns / 1e6:9.2f} ms  {100.0 * ns / total:5.1f}%"
-            )
-        hot = sorted(
-            self._handlers.items(), key=lambda kv: -kv[1][1]
-        )[:top]
-        if hot:
-            lines.append(f"hottest handlers ({len(hot)}):")
-            for qual, (sub, ns, events) in hot:
-                per = ns / events if events else 0.0
-                lines.append(
-                    f"  {sub:7s} {qual:44.44s} {ns / 1e6:8.2f} ms  "
-                    f"{events:>8d} ev  {per:6.0f} ns/ev"
-                )
-        eng = self.engine_stats
-        if eng:
-            lines.append(
-                "event queue: "
-                f"{eng.get('heap_pushes', 0):.0f} pushes, "
-                f"{eng.get('heap_pops', 0):.0f} pops, "
-                f"depth peak {eng.get('queue_depth_peak', 0):.0f} / "
-                f"mean {eng.get('queue_depth_mean', 0.0):.1f}; "
-                f"signals {eng.get('signal_waits', 0):.0f} waits / "
-                f"{eng.get('signal_cancels', 0):.0f} cancels / "
-                f"{eng.get('signal_fires', 0):.0f} fires"
-            )
-        return "\n".join(lines)
-
-
-class _TimedProbes(list):
-    """The probe list of a profiled simulator.  The engine iterates it
-    once after every event; the iteration itself charges the time the
-    probes take to ``obs``.  An empty list is falsy, so the engine skips
-    it (and this charge) as it skips an empty plain list."""
-
-    __slots__ = ("host",)
-
-    def __init__(self, host: HostProfiler, probes) -> None:
-        super().__init__(probes)
-        self.host = host
-
-    def __iter__(self):
-        host = self.host
-        t0 = host.clock()
-        host.charge("engine", t0 - host._mark)
-        yield from list.__iter__(self)
-        t1 = host.clock()
-        host.charge("obs", t1 - t0)
-        host._mark = t1
 
 
 # ---------------------------------------------------------------------- #

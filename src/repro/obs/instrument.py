@@ -182,16 +182,14 @@ def finish_run(
     tracer=None,
     stm=None,
     profiler=None,
-    host_profiler=None,
     fairness=None,
 ) -> None:
     """Common post-run teardown used by the harness entry points: stop
     gauge sampling, take a final sample, harvest counters, detach the
     fairness observatory and publish its counters into the registry,
     drop in-flight message spans, and detach the tracer and the
-    contention/host profilers (the host profiler folds the engine's
-    event-queue stats into itself on detach).  Every sink leaves the
-    probe bus on its own, so the order is free."""
+    contention profiler.  Every sink leaves the probe bus on its own,
+    so the order is free."""
     if registry is not None:
         if registry.is_sampling:
             registry.sample(machine.sim.now)
@@ -208,5 +206,3 @@ def finish_run(
         tracer.detach()
     if profiler is not None:
         profiler.detach()
-    if host_profiler is not None:
-        host_profiler.detach()

@@ -26,8 +26,8 @@ Top-level shape (version 4)::
         "series": {name: [[t, value], ...]}
       },
       "profile": {...},         # optional: ContentionProfiler.to_dict()
-      "host": {...},            # optional: HostProfiler.to_dict()
-                                # (--host-prof host-time attribution)
+      "host": {...},            # optional, older reports only:
+                                # host-time attribution
       "fairness": {...}         # optional: FairnessObservatory.to_dict()
                                 # (--fairness wait/overtake/SLO ledger)
     }
@@ -35,7 +35,8 @@ Top-level shape (version 4)::
 Version 1 (no ``profile`` section), version 2 (no ``host`` section) and
 version 3 (no ``fairness`` section) are still accepted everywhere —
 older BENCH baselines stay valid and diffable.  Reports are always
-*written* at version 4.
+*written* at version 4, and never with a ``host`` section, which only
+older reports carry.
 
 ``validate_run_report`` is the single source of truth for the schema;
 the CLI (``python -m repro report``), the smoke tests and the golden
@@ -91,7 +92,6 @@ def build_run_report(
     results: Any,
     metrics: Optional[Dict[str, Any]] = None,
     profile: Optional[Dict[str, Any]] = None,
-    host: Optional[Dict[str, Any]] = None,
     fairness: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
     """Assemble (and validate) a RunReport dict.
@@ -99,10 +99,9 @@ def build_run_report(
     ``config`` and ``results`` may be dataclasses or dicts; values are
     coerced to JSON-safe types.  ``metrics`` is a
     ``MetricsRegistry.to_dict()`` dump (empty sections if omitted);
-    ``profile`` is a ``ContentionProfiler.to_dict()`` section, ``host``
-    a ``HostProfiler.to_dict()`` section and ``fairness`` a
-    ``FairnessObservatory.to_dict()`` section (each omitted from the
-    report when None).
+    ``profile`` is a ``ContentionProfiler.to_dict()`` section and
+    ``fairness`` a ``FairnessObservatory.to_dict()`` section (each
+    omitted from the report when None).
     """
     report = {
         "schema": RUN_REPORT_SCHEMA,
@@ -116,8 +115,6 @@ def build_run_report(
     }
     if profile is not None:
         report["profile"] = profile
-    if host is not None:
-        report["host"] = host
     if fairness is not None:
         report["fairness"] = fairness
     validate_run_report(report)
@@ -285,18 +282,6 @@ def summarize_run_report(report: Dict[str, Any], top: int = 12) -> str:
         lines.append(
             f"profile: {len(locks)} lock(s), {total} acquisitions "
             f"(see `repro profile` for the decomposition)"
-        )
-    host = report.get("host")
-    if host:
-        subs = host.get("subsystems") or {}
-        hot = sorted(subs.items(), key=lambda kv: -kv[1])[:3]
-        where = ", ".join(
-            f"{name} {100.0 * ns / host['total_ns']:.0f}%"
-            for name, ns in hot if host.get("total_ns")
-        )
-        lines.append(
-            f"host: {host.get('total_ns', 0) / 1e6:.1f} ms attributed"
-            + (f" ({where})" if where else "")
         )
     fairness = report.get("fairness")
     if fairness:

@@ -65,10 +65,9 @@ class Simulator:
     integer compare yields the ``(cycle, draw, seq)`` order.
 
     ``dispatch`` (when set to ``fn(now, event)``) is called in place of
-    every ``event()``, and must call ``event()`` itself.  It is how
-    :class:`repro.obs.host.HostProfiler` times handlers and how the
-    differential tests record the dispatch order.  Unset, it costs one
-    None-check per event.
+    every ``event()``, and must call ``event()`` itself.  The
+    differential tests record the dispatch order through it.  Unset, it
+    costs one None-check per event.
     """
 
     def __init__(self, tiebreak_seed: Optional[int] = None) -> None:

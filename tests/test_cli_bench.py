@@ -1,6 +1,7 @@
 """CLI tests for ``python -m repro bench`` and ``repro diff --host``:
-the round trip run -> append -> diff, trajectory idempotence, the
-environment-fingerprint warning, and regression gating on host metrics.
+the round trip run -> append -> diff, trajectory idempotence, record
+selection, the environment-fingerprint warning, and regression gating
+on host metrics.
 """
 
 import io
@@ -48,18 +49,6 @@ class TestBenchVerb:
         assert cell["engine"]["events_processed"] > 0
         assert cell["engine"]["queue_depth_peak"] >= 1
 
-    def test_attribution_sums_to_total(self, tmp_path):
-        # acceptance: the host section's per-subsystem attribution sums
-        # (exactly -- intervals tile the loop) to total host time
-        path = run_bench(tmp_path)
-        cell = load_trajectory(str(path))["records"][0]["cells"][0]
-        host = cell["host"]
-        assert host["total_ns"] > 0
-        assert sum(host["subsystems"].values()) == host["total_ns"]
-        # and the instrumented pass's wall time bounds the attribution
-        assert host["total_ns"] <= \
-            cell["instrumented_host_seconds"] * 1e9 * 1.5
-
     def test_quick_cell(self, tmp_path):
         path = tmp_path / "t.json"
         code, out, err = run_cli(
@@ -70,6 +59,29 @@ class TestBenchVerb:
         cell = load_trajectory(str(path))["records"][0]["cells"][0]
         assert (cell["lock"], cell["model"], cell["threads"]) == \
             ("lcu", "A", 16)
+
+    def test_quick_record_has_no_host_section(self, tmp_path):
+        # host time per layer comes from perf/run.py --trace; a bench
+        # cell carries timings and engine counters only
+        path = tmp_path / "t.json"
+        for label in ("a", "b"):
+            code, _, err = run_cli(
+                "bench", "--quick", "--iters", "3", "--repeats", "1",
+                "--out", str(path), "--label", label,
+            )
+            assert code == 0, err
+        for rec in load_trajectory(str(path))["records"]:
+            for cell in rec["cells"]:
+                assert "host" not in cell
+                assert cell["engine"]["events_processed"] > 0
+        diff = tmp_path / "diff.json"
+        code, out, _ = run_cli("diff", "--host", str(path), str(path),
+                               "--top", "1000", "--json-out", str(diff))
+        assert code == 0
+        assert "host_ns" not in out
+        keys = [e["key"] for e in json.loads(diff.read_text())["entries"]]
+        assert "lcu.A.t16.w100.cycles_per_host_sec" in keys
+        assert not [k for k in keys if "host_ns" in k]
 
     def test_repeat_timings_recorded(self, tmp_path):
         path = run_bench(tmp_path, "--repeats", "2")
@@ -97,21 +109,6 @@ class TestBenchVerb:
         assert not path.exists()
         rec = json.loads(out_json.read_text())
         assert rec["cells"][0]["lock"] == "lcu"
-
-    def test_folded_out(self, tmp_path):
-        folded = tmp_path / "host.folded"
-        run_bench(tmp_path, "--folded-out", str(folded))
-        for line in folded.read_text().strip().split("\n"):
-            stack, weight = line.rsplit(" ", 1)
-            assert stack.startswith("host;")
-            assert len(stack.split(";")) == 3
-            int(weight)
-
-    def test_no_host_prof_still_collects_engine(self, tmp_path):
-        path = run_bench(tmp_path, "--no-host-prof")
-        cell = load_trajectory(str(path))["records"][0]["cells"][0]
-        assert "host" not in cell
-        assert cell["engine"]["events_processed"] > 0
 
     def test_embed_report_diffable_with_plain_diff(self, tmp_path):
         path = run_bench(tmp_path, "--embed-report")
@@ -213,29 +210,59 @@ class TestHostDiff:
         assert code == 0
         assert "label: 'b' -> 'c'" in out
 
+    def test_record_zero_same_file_exit_two(self, tmp_path):
+        # --record picks NEW; from one file OLD is the record before it,
+        # and the first record has none
+        path = run_bench(tmp_path, "--label", "a")
+        run_bench(tmp_path, "--label", "b")
+        code, out, err = run_cli("diff", "--host", str(path), str(path),
+                                 "--record", "0")
+        assert code == 2
+        assert "first record" in err
+        assert "label:" not in out
+        code, out, _ = run_cli("diff", "--host", str(path), str(path),
+                               "--record", "1", "--threshold", "5")
+        assert code == 0
+        assert "label: 'a' -> 'b'" in out
+
+    def test_record_zero_fairness_same_file_exit_two(self, tmp_path):
+        # the fairness diff resolves records through the same rule
+        from repro.obs.host import env_fingerprint, write_trajectory
+
+        def record(label, jain):
+            cell = {"lock": "lcu", "model": "A", "threads": 4,
+                    "write_pct": 20, "simulated_cycles": 1000,
+                    "cycles_per_host_sec": 1.0, "engine": {},
+                    "jain": jain}
+            return {"env": env_fingerprint(), "label": label,
+                    "cells": [cell]}
+
+        path = tmp_path / "f.json"
+        write_trajectory(str(path), {
+            "schema": "repro.bench-trajectory", "version": 1,
+            "records": [record("a", 0.9), record("b", 0.5)],
+        })
+        code, _, err = run_cli("diff", str(path), str(path),
+                               "--record", "0")
+        assert code == 2
+        assert "first record" in err
+        code, out, err = run_cli("diff", str(path), str(path),
+                                 "--fail-on-regression")
+        assert code == 1
+        assert "fairness.jain" in out
+        assert "fairness regression" in err
+
     def test_mixed_inputs_exit_two(self, tmp_path):
         traj = run_bench(tmp_path)
         rep = tmp_path / "rep.json"
         code, _, err = run_cli(
             "microbench", "--lock", "lcu", "--threads", "2",
-            "--iters", "3", "--host-prof", "--metrics-out", str(rep),
+            "--iters", "3", "--metrics-out", str(rep),
         )
         assert code == 0
         code, _, err = run_cli("diff", "--host", str(traj), str(rep))
         assert code == 2
-        assert "not one of each" in err
-
-    def test_two_host_prof_reports(self, tmp_path):
-        rep = tmp_path / "rep.json"
-        code, _, _ = run_cli(
-            "microbench", "--lock", "lcu", "--threads", "2",
-            "--iters", "3", "--host-prof", "--metrics-out", str(rep),
-        )
-        assert code == 0
-        code, out, _ = run_cli("diff", "--host", str(rep), str(rep),
-                               "--fail-on-regression", "--threshold", "5")
-        assert code == 0
-        assert "host.total_ns" in out or "unchanged" in out
+        assert "two bench trajectories" in err
 
     def test_report_without_host_section_exit_two(self, tmp_path):
         rep = tmp_path / "rep.json"
@@ -246,7 +273,7 @@ class TestHostDiff:
         assert code == 0
         code, _, err = run_cli("diff", "--host", str(rep), str(rep))
         assert code == 2
-        assert "--host-prof" in err
+        assert "perf/run.py" in err
 
 
 class TestCommittedBaselines:
@@ -261,8 +288,11 @@ class TestCommittedBaselines:
         assert t["records"], f"{name} has no records"
 
     def test_engine_baseline_self_diff(self):
+        # record 1 against record 0; the records' old host sections are
+        # validated but never diffed
         path = str(REPO / "BENCH_engine.json")
         code, out, _ = run_cli("diff", "--host", path, path,
-                               "--record", "0")
+                               "--record", "1", "--top", "1000")
         assert code == 0
         assert "unchanged" in out
+        assert "host_ns" not in out

@@ -78,17 +78,6 @@ class TestExamples:
         assert (tmp_path / "lcu.folded").exists()
         assert (tmp_path / "mcs.folded").exists()
 
-    @pytest.mark.bench
-    def test_hostprof_demo(self, tmp_path):
-        out = run_example(
-            "hostprof_demo.py", "--threads", "4", "--iters", "10",
-            "--outdir", str(tmp_path),
-        )
-        assert "simulated result identical with profiler attached" in out
-        assert "per-subsystem attribution" in out
-        assert "costliest event handlers" in out
-        assert (tmp_path / "host.folded").exists()
-
     def test_faults_demo(self):
         out = run_example("faults_demo.py", "--threads", "4",
                           "--iters", "10")

@@ -3,7 +3,7 @@ zero-overhead guarantee when no plan is armed."""
 
 import io
 import json
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
@@ -137,9 +137,13 @@ class TestCliVerb:
         assert len(doc["cells"]) == 2
 
     def test_faults_verb_rejects_unknown_class(self):
-        code, out = self.run_cli("faults", "--classes", "gamma_ray")
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = self.run_cli("faults", "--classes", "gamma_ray")
         assert code == 2
-        assert "unknown fault class" in out
+        # usage errors go to stderr, as on every other verb
+        assert "unknown fault class" in err.getvalue()
+        assert "unknown fault class" not in out
 
     def test_faults_verb_workers_matches_serial(self, tmp_path):
         argv = ["faults", "--algos", "lcu", "--models", "A",
