@@ -15,15 +15,10 @@ Commands:
 * ``profile``     — run the contention profiler on a microbenchmark:
   per-lock acquire-latency decomposition, queue-depth stats, critical
   path, folded-stack / Perfetto export.
-* ``diff``        — structurally diff two run reports; with
-  ``--fail-on-regression``, exit 1 when a known-direction quantity
-  moved past ``--threshold`` in the wrong direction.  With ``--host``,
-  diff two bench-trajectory records instead: host throughput and
-  event-queue counters, under a noise-aware threshold.
-* ``bench``       — run the pinned engine benchmark matrix best-of-N
-  with engine counters, and append one record to the
-  ``BENCH_engine.json`` trajectory.  Per-layer host time comes from
-  ``python perf/run.py --workload W --trace``.
+* ``diff``        — structurally diff two run reports, or two records
+  of fairness trajectories; with ``--fail-on-regression``, exit 1 when
+  a known-direction quantity moved past ``--threshold`` in the wrong
+  direction.
 * ``sweep``       — shard a microbench matrix (cells x seeds) across
   worker processes and merge the per-shard telemetry into a single
   RunReport, byte-identical to the serial run (``--verify-serial``
@@ -34,6 +29,9 @@ Commands:
   wait per cell; appends one record to ``BENCH_fairness.json``.
   ``repro diff`` on two fairness trajectories gates on fairness
   regressions (a Jain drop, a fatter overtake).
+
+Simulator speed is not measured here: ``python perf/run.py`` times the
+repo benchmark's workloads (``--trace`` adds per-layer host time).
 
 The benchmark commands accept ``--metrics-out FILE`` (machine-readable
 run report), ``--trace-out FILE`` (Chrome trace-event JSON, loadable in
@@ -55,16 +53,13 @@ import sys
 
 from repro.apps.base import all_apps, run_app
 from repro.harness import figures
-from repro.harness.bench import (
+from repro.harness.microbench import run_microbench
+from repro.harness.parallel import (
     DEFAULT_ITERS,
     DEFAULT_LOCKS,
-    DEFAULT_REPEATS,
     DEFAULT_THREADS,
     DEFAULT_WRITE_PCT,
-    QUICK_CELL,
-    QUICK_REPEATS,
 )
-from repro.harness.microbench import run_microbench
 from repro.harness.stm_bench import STRUCTURES, run_stm_bench
 from repro.harness.tables import figure1_table, figure8_table
 from repro.locks.base import all_algorithms
@@ -77,7 +72,7 @@ from repro.obs import (
     validate_run_report,
     write_run_report,
 )
-from repro.params import model_a, model_b
+from repro.params import make_model
 from repro.stm.core import ObjectSTM
 
 _FIGURES = {
@@ -114,10 +109,6 @@ _FIGURES = {
 #: figures whose runs go through run_microbench and therefore have
 #: lock-phase probes the profiler can attach to
 _PROFILABLE_FIGURES = {"fig9a", "fig9b", "fig10a", "fig10b"}
-
-
-def _model(name: str):
-    return model_a() if name.upper() == "A" else model_b()
 
 
 # --------------------------------------------------------------------- #
@@ -190,13 +181,38 @@ def _profiler_setup(args):
     return ContentionProfiler()
 
 
-def _add_fairness_flag(parser: argparse.ArgumentParser) -> None:
+#: the ``--profile``/``--fairness`` scope of ``figure``
+_FIRST_RUN = " to the first microbench run of the sweep (fig9*/fig10* only)"
+
+
+def _add_profile_flag(parser: argparse.ArgumentParser,
+                      scope: str = "") -> None:
+    parser.add_argument(
+        "--profile", action="store_true",
+        help=f"attach the contention profiler{scope}; with --metrics-out, "
+             f"embeds a 'profile' section in the run report, otherwise "
+             f"prints the summary",
+    )
+
+
+def _add_fairness_flag(
+    parser: argparse.ArgumentParser, scope: str = "",
+    output: str = "with --metrics-out, embeds a 'fairness' section in "
+                  "the run report, otherwise prints the per-lock digest",
+) -> None:
     parser.add_argument(
         "--fairness", action="store_true",
-        help="attach the fairness observatory (overtake ledger, wait "
-             "histograms, starvation watchdog); with --metrics-out, "
-             "embeds a 'fairness' section in the run report, otherwise "
-             "prints the per-lock digest",
+        help=f"attach the fairness observatory (overtake ledger, wait "
+             f"histograms, starvation watchdog){scope}; {output}",
+    )
+
+
+def _add_workers_flag(parser: argparse.ArgumentParser, what: str,
+                      default: str = "serial") -> None:
+    parser.add_argument(
+        "--workers", type=int, default=None, metavar="N",
+        help=f"fan {what} out over N worker processes; the result is "
+             f"byte-identical to the serial run (default: {default})",
     )
 
 
@@ -237,11 +253,22 @@ def _obs_emit(args, kind, config, result, registry, tracer,
               f"({len(tracer.spans)} spans)")
 
 
+def _csv_ints(flag: str, text: str):
+    """The integers of a CSV flag; None after reporting a bad entry."""
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        print(f"error: {flag} takes comma-separated integers, got "
+              f"{text!r}", file=sys.stderr)
+        return None
+
+
 def _matrix_kwargs(args, csv_threads: bool = True):
     """The ``locks``/``models``/``threads`` keyword arguments given by
     a verb's ``--locks``/``--models``/``--threads`` CSV flags (only the
     flags that were set).  ``csv_threads=False`` leaves ``--threads``
-    to the verb.  Returns None after reporting an unknown lock."""
+    to the verb.  Returns None after reporting an unknown lock or
+    model, or a non-integer thread count."""
     kwargs = {}
     if args.locks:
         known = sorted(all_algorithms())
@@ -252,9 +279,17 @@ def _matrix_kwargs(args, csv_threads: bool = True):
                 return None
         kwargs["locks"] = tuple(args.locks.split(","))
     if args.models:
+        for model in args.models.split(","):
+            try:
+                make_model(model)
+            except ValueError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return None
         kwargs["models"] = tuple(args.models.split(","))
     if csv_threads and args.threads:
-        kwargs["threads"] = tuple(int(x) for x in args.threads.split(","))
+        kwargs["threads"] = _csv_ints("--threads", args.threads)
+        if kwargs["threads"] is None:
+            return None
     return kwargs
 
 
@@ -274,7 +309,7 @@ def cmd_locks(_args) -> int:
 
 
 def cmd_microbench(args) -> int:
-    config = _model(args.model)
+    config = make_model(args.model)
     registry, tracer = _obs_setup(args)
     profiler = _profiler_setup(args)
     fairness = _fairness_setup(args)
@@ -303,7 +338,7 @@ def cmd_microbench(args) -> int:
 
 
 def cmd_stm(args) -> int:
-    config = _model(args.model)
+    config = make_model(args.model)
     registry, tracer = _obs_setup(args)
     r = run_stm_bench(
         config, args.variant, args.structure,
@@ -328,7 +363,7 @@ def cmd_stm(args) -> int:
 
 
 def cmd_app(args) -> int:
-    config = _model(args.model)
+    config = make_model(args.model)
     registry, tracer = _obs_setup(args)
     fairness = _fairness_setup(args)
     r = run_app(config, args.name, args.lock,
@@ -409,8 +444,6 @@ def cmd_report(args) -> int:
         print(f"error: cannot read {args.file}: {exc}", file=sys.stderr)
         return 2
     if is_trajectory(report):
-        from repro.harness.bench import summarize_cell
-
         try:
             validate_trajectory(report)
         except HostProfileError as exc:
@@ -432,9 +465,6 @@ def cmd_report(args) -> int:
             if is_fairness_record(last):
                 from repro.harness.fairness_bench import scorecard_table
                 print(scorecard_table(last.get("cells", [])))
-            else:
-                for cell in last.get("cells", []):
-                    print("  " + summarize_cell(cell))
         return 0
     try:
         validate_run_report(report)
@@ -453,7 +483,7 @@ def cmd_profile(args) -> int:
     if args.top <= 0:
         print("error: --top must be positive", file=sys.stderr)
         return 2
-    config = _model(args.model)
+    config = make_model(args.model)
     profiler = ContentionProfiler()
     registry = MetricsRegistry() if args.json_out else None
     r = run_microbench(
@@ -516,19 +546,10 @@ def _record_pair(args, old_obj, new_obj):
 
 
 def cmd_diff(args) -> int:
-    from repro.obs.diff import (
-        diff_fairness_records, diff_host_records, diff_run_reports,
-        is_fairness_record,
-    )
-    from repro.obs.host import (
-        HostProfileError, is_trajectory, latest_record, validate_trajectory,
-    )
+    from repro.obs.diff import diff_fairness_records, diff_run_reports
+    from repro.obs.host import HostProfileError, is_trajectory
 
     threshold = args.threshold
-    if threshold is None:
-        # host wall-clock jitters where simulated cycles are exact:
-        # the host gate defaults looser than the simulated-metrics gate
-        threshold = 0.25 if args.host else 0.10
     if threshold < 0:
         print("error: --threshold must be >= 0", file=sys.stderr)
         return 2
@@ -543,72 +564,30 @@ def cmd_diff(args) -> int:
             return 2
     old_obj, new_obj = objs
 
-    def _latest_fairness(obj):
-        return is_trajectory(obj) and is_fairness_record(
-            (obj.get("records") or [{}])[-1]
-        )
-
     what = ""
-    if args.host or (_latest_fairness(old_obj)
-                     and _latest_fairness(new_obj)):
+    if is_trajectory(old_obj) or is_trajectory(new_obj):
+        # two fairness trajectories (BENCH_fairness.json): compare
+        # scorecard records — all simulated quantities, so the default
+        # 10% gate applies without host-noise caveats
         if not (is_trajectory(old_obj) and is_trajectory(new_obj)):
-            print("error: --host compares two bench trajectories; "
-                  "per-layer host time comes from python perf/run.py "
-                  "--workload W --trace", file=sys.stderr)
+            print("error: a trajectory diffs only against another "
+                  "trajectory", file=sys.stderr)
             return 2
         try:
             old_rec, new_rec = _record_pair(args, old_obj, new_obj)
         except HostProfileError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        if args.host:
-            d = diff_host_records(old_rec, new_rec, threshold=threshold)
-            env_mismatch = [m for m in d.config_mismatches
-                            if m[0].startswith("env.")]
-            if env_mismatch:
-                print("warning: environment fingerprint mismatch — host "
-                      "numbers compare machines, not code:",
-                      file=sys.stderr)
-                for key, old_v, new_v in env_mismatch:
-                    print(f"  {key}: {old_v!r} -> {new_v!r}",
-                          file=sys.stderr)
-        else:
-            # two fairness trajectories (BENCH_fairness.json): compare
-            # scorecard records — all simulated quantities, so the
-            # default 10% gate applies without host-noise caveats
-            d = diff_fairness_records(old_rec, new_rec,
-                                      threshold=threshold)
-            what = "fairness "
+        d = diff_fairness_records(old_rec, new_rec, threshold=threshold)
+        what = "fairness "
     else:
-        reports = []
         for path, obj in zip((args.old, args.new), objs):
-            if is_trajectory(obj):
-                # a trajectory baseline (e.g. BENCH_telemetry.json)
-                # stands in for the run report embedded in its latest
-                # record's first reporting cell (bench --embed-report)
-                try:
-                    validate_trajectory(obj)
-                    rec = latest_record(obj)
-                except HostProfileError as exc:
-                    print(f"error: {path}: {exc}", file=sys.stderr)
-                    return 2
-                obj = next(
-                    (c["report"] for c in rec["cells"] if "report" in c),
-                    None,
-                )
-                if obj is None:
-                    print(f"error: {path}: trajectory embeds no run "
-                          f"report (re-run bench with --embed-report, "
-                          f"or diff it with --host)",
-                          file=sys.stderr)
-                    return 2
             try:
                 validate_run_report(obj)
             except ReportValidationError as exc:
                 print(f"invalid run report {path}: {exc}", file=sys.stderr)
                 return 2
-            reports.append(obj)
-        d = diff_run_reports(reports[0], reports[1], threshold=threshold)
+        d = diff_run_reports(old_obj, new_obj, threshold=threshold)
     print(d.summarize(top=args.top))
     if args.json_out:
         with open(args.json_out, "w") as f:
@@ -625,51 +604,6 @@ def cmd_diff(args) -> int:
             return 1
         print(f"note: {len(d.regressions)} regression(s) found "
               f"(pass --fail-on-regression to gate)")
-    return 0
-
-
-def cmd_bench(args) -> int:
-    from repro.harness.bench import (
-        default_matrix, quick_matrix, run_bench, summarize_cell,
-    )
-    from repro.obs.host import append_record
-
-    if args.quick:
-        specs = quick_matrix(iters=args.iters)
-        default_repeats = QUICK_REPEATS
-    else:
-        kwargs = _matrix_kwargs(args)
-        if kwargs is None:
-            return 2
-        specs = default_matrix(
-            write_pct=args.write_pct, iters=args.iters, seed=args.seed,
-            **kwargs,
-        )
-        default_repeats = DEFAULT_REPEATS
-    repeats = (args.repeats if args.repeats is not None
-               else default_repeats)
-    if repeats < 1:
-        print("error: --repeats must be >= 1", file=sys.stderr)
-        return 2
-
-    print(f"bench: {len(specs)} cell(s), best of {repeats}")
-    record = run_bench(
-        specs, repeats=repeats,
-        profile=args.profile, sample_interval=args.sample_interval,
-        embed_report=args.embed_report, label=args.label, note=args.note,
-        progress=lambda cell: print(summarize_cell(cell)),
-    )
-    if args.json_out:
-        with open(args.json_out, "w") as f:
-            json.dump(record, f, indent=1, sort_keys=True)
-            f.write("\n")
-        print(f"bench record: {args.json_out}")
-    if args.no_append:
-        print(f"(trajectory {args.out} not touched: --no-append)")
-    else:
-        trajectory = append_record(args.out, record)
-        print(f"trajectory: {args.out} "
-              f"({len(trajectory['records'])} record(s))")
     return 0
 
 
@@ -750,19 +684,18 @@ def cmd_fairness(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    from repro.harness.bench import default_matrix
     from repro.harness.parallel import (
-        default_workers, run_sweep, sweep_shards,
+        default_matrix, default_workers, run_sweep, sweep_shards,
     )
     from repro.obs.report import write_run_report
 
     kwargs = _matrix_kwargs(args)
-    if kwargs is None:
+    seeds = _csv_ints("--seeds", args.seeds)
+    if kwargs is None or seeds is None:
         return 2
     specs = default_matrix(
         write_pct=args.write_pct, iters=args.iters, **kwargs,
     )
-    seeds = [int(x) for x in args.seeds.split(",")]
     workers = args.workers if args.workers is not None else default_workers()
     shards = sweep_shards(specs, seeds)
     mode = "serial" if workers <= 1 else f"{min(workers, len(shards))} procs"
@@ -944,10 +877,7 @@ def build_parser() -> argparse.ArgumentParser:
     mb.add_argument("--write-pct", type=int, default=100)
     mb.add_argument("--iters", type=int, default=150)
     _add_obs_flags(mb)
-    mb.add_argument("--profile", action="store_true",
-                    help="attach the contention profiler; with "
-                         "--metrics-out, embeds a 'profile' section in "
-                         "the run report, otherwise prints the summary")
+    _add_profile_flag(mb)
     _add_fairness_flag(mb)
     mb.set_defaults(fn=cmd_microbench)
 
@@ -979,13 +909,8 @@ def build_parser() -> argparse.ArgumentParser:
     fig.add_argument("name", choices=sorted(_FIGURES))
     fig.add_argument("--scale", type=int, default=1)
     _add_obs_flags(fig)
-    fig.add_argument("--profile", action="store_true",
-                    help="profile the first microbench run of the sweep "
-                         "(fig9*/fig10* only)")
-    fig.add_argument("--fairness", action="store_true",
-                     help="attach the fairness observatory to the first "
-                          "microbench run of the sweep (fig9*/fig10* "
-                          "only)")
+    _add_profile_flag(fig, _FIRST_RUN)
+    _add_fairness_flag(fig, _FIRST_RUN)
     fig.set_defaults(fn=cmd_figure)
 
     rp = sub.add_parser("report")
@@ -1024,21 +949,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     df = sub.add_parser(
         "diff",
-        help="diff two run reports (or, with --host, two bench "
-             "trajectories); exit 1 on regression with "
-             "--fail-on-regression",
+        help="diff two run reports (or two fairness trajectories); "
+             "exit 1 on regression with --fail-on-regression",
     )
     df.add_argument("old", help="baseline run-report or trajectory JSON")
     df.add_argument("new", help="candidate run-report or trajectory JSON")
-    df.add_argument("--threshold", type=float, default=None,
+    df.add_argument("--threshold", type=float, default=0.10,
                     metavar="FRACTION",
                     help="relative change below which a quantity is "
-                         "'unchanged' (default 0.10; 0.25 with --host "
-                         "because host wall-clock is noisy)")
-    df.add_argument("--host", action="store_true",
-                    help="compare *host* performance of two bench "
-                         "trajectories: cycles/host-sec, best-of-N "
-                         "host seconds and engine counters")
+                         "'unchanged' (default 0.10)")
     df.add_argument("--record", type=int, default=-1, metavar="N",
                     help="which trajectory record to compare (0-based; "
                          "negatives count from the end; default -1 = "
@@ -1053,38 +972,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="write the machine-readable diff here")
     df.set_defaults(fn=cmd_diff)
 
-    bn = sub.add_parser(
-        "bench",
-        help="benchmark the simulator itself: pinned matrix, best-of-N "
-             "host timings, engine counters; appends one record to a "
-             "trajectory (BENCH_engine.json)",
-    )
-    bn.add_argument("--quick", action="store_true",
-                    help=f"single pinned cell "
-                         f"({'/'.join(map(str, QUICK_CELL))}), best of "
-                         f"{QUICK_REPEATS} — the CI smoke configuration")
-    _add_matrix_flags(bn, ",".join(DEFAULT_LOCKS))
-    bn.add_argument("--write-pct", type=int, default=DEFAULT_WRITE_PCT)
-    bn.add_argument("--iters", type=int, default=DEFAULT_ITERS,
-                    help="lock/unlock iterations per thread")
-    bn.add_argument("--repeats", type=int, default=None,
-                    help=f"timed repeats per cell (best-of-N; default "
-                         f"{DEFAULT_REPEATS}, {QUICK_REPEATS} with "
-                         f"--quick)")
-    bn.add_argument("--seed", type=int, default=1)
-    bn.add_argument("--profile", action="store_true",
-                    help="also attach the contention profiler and embed "
-                         "a BENCH_profile-style digest per cell")
-    bn.add_argument("--sample-interval", type=int, default=0,
-                    metavar="CYCLES",
-                    help="gauge sampling interval for the instrumented "
-                         "pass (0 = off)")
-    bn.add_argument("--embed-report", action="store_true",
-                    help="embed a full run report per cell so plain "
-                         "'repro diff' can read the trajectory")
-    _add_trajectory_flags(bn, "BENCH_engine.json")
-    bn.set_defaults(fn=cmd_bench)
-
     sw = sub.add_parser(
         "sweep",
         help="run a microbench matrix sharded across worker processes "
@@ -1098,14 +985,11 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--write-pct", type=int, default=DEFAULT_WRITE_PCT)
     sw.add_argument("--iters", type=int, default=DEFAULT_ITERS,
                     help="lock/unlock iterations per thread")
-    sw.add_argument("--workers", type=int, default=None, metavar="N",
-                    help="worker processes (default: core count; "
-                         "0 or 1 = serial in-process)")
-    sw.add_argument("--fairness", action="store_true",
-                    help="attach a fairness observatory per shard and "
-                         "merge the fairness.* counters/histograms/"
-                         "watermarks into the report metrics (the "
-                         "merge is byte-identical for any --workers)")
+    _add_workers_flag(sw, "the shards",
+                      "core count; 0 or 1 = serial in-process")
+    _add_fairness_flag(sw, " to every shard",
+                       "its fairness.* counters, histograms and "
+                       "watermarks merge into the report metrics")
     sw.add_argument("--verify-serial", action="store_true",
                     help="re-run the sweep serially and fail unless the "
                          "merged reports are byte-identical (the CI "
@@ -1180,10 +1064,7 @@ def build_parser() -> argparse.ArgumentParser:
     ck.add_argument("--trace-out", metavar="FILE", default=None,
                     help="write a Chrome trace-event JSON (open spans "
                          "are flushed, not dropped, on a violation)")
-    ck.add_argument("--workers", type=int, default=None, metavar="N",
-                    help="fan (lock, model) combinations out over N "
-                         "worker processes; results are identical to "
-                         "the serial run (default: serial)")
+    _add_workers_flag(ck, "(lock, model) combinations")
     ck.set_defaults(fn=cmd_check)
 
     fl = sub.add_parser(
@@ -1216,10 +1097,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="lock/unlock iterations per thread")
     fl.add_argument("--horizon", type=int, default=12_000,
                     help="fault-plan horizon in cycles")
-    fl.add_argument("--workers", type=int, default=None, metavar="N",
-                    help="fan matrix cells out over N worker processes; "
-                         "the report is byte-identical to the serial "
-                         "run (default: serial)")
+    _add_workers_flag(fl, "matrix cells")
     fl.add_argument("--out", metavar="FILE", default=None,
                     help="write the full JSON nemesis report here")
     fl.set_defaults(fn=cmd_faults)

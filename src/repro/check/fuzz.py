@@ -38,10 +38,8 @@ from repro.cpu.machine import Machine
 from repro.cpu.os_sched import CRASHED, DONE, OS, DeadlockError
 from repro.lcu.lcu import ProtocolError
 from repro.locks import get_algorithm  # package import populates the registry
-from repro.params import MachineConfig, model_a, model_b, small_test_model
+from repro.params import make_model
 from repro.shards import shard_map
-
-_MODELS = {"A": model_a, "B": model_b, "T": small_test_model}
 
 #: reproducer format version (bump when FuzzCase fields change shape)
 #: 2: optional ``faults`` fault-plan dict (format-1 docs still load)
@@ -61,25 +59,6 @@ FORMAT = 4
 #: default hardening knobs) — with slack, while still far below any
 #: workload horizon, so a genuine post-fault hang cannot hide.
 LIVENESS_BOUND = 250_000
-
-
-def make_model(model: str, **overrides) -> MachineConfig:
-    """Build a machine config by model letter (A, B, or the test model T).
-
-    Accepts a synthetic ``cores`` override (``MachineConfig.cores`` is
-    derived): the machine becomes a single chip with that many cores —
-    the fuzzer uses it to force thread-over-core oversubscription."""
-    try:
-        factory = _MODELS[model]
-    except KeyError:
-        raise ValueError(
-            f"unknown model {model!r}; known: {sorted(_MODELS)}"
-        ) from None
-    cores = overrides.pop("cores", None)
-    if cores is not None:
-        overrides["chips"] = 1
-        overrides["cores_per_chip"] = cores
-    return factory(**overrides)
 
 
 @dataclasses.dataclass

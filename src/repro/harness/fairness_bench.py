@@ -1,7 +1,6 @@
 """Fairness scorecard (``python -m repro fairness``).
 
-Where ``repro bench`` measures the simulator's *speed*, this module
-measures the locks' *fairness*: a pinned matrix of duration-mode
+This module measures the locks' *fairness*: a pinned matrix of duration-mode
 microbench cells (lock x machine model) runs with the
 :class:`repro.obs.fairness.FairnessObservatory` attached, and each cell
 reports the paper-style fairness quantities — Jain index over
@@ -30,8 +29,9 @@ Methodology notes:
   by tests and the CI gate.
 * **Trajectory records.**  Cells carry the ``repro.bench-trajectory``
   required fields (host throughput, engine counters) so
-  ``BENCH_fairness.json`` validates with the same tooling as
-  ``BENCH_engine.json`` and ``repro report`` can summarize it.
+  ``BENCH_fairness.json`` validates against that schema and
+  ``repro report`` can summarize it.  Simulator speed itself is
+  measured by ``python perf/run.py``, not here.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from repro.harness.microbench import run_microbench
 from repro.obs.fairness import FairnessObservatory
 from repro.obs.host import env_fingerprint
 from repro.obs.registry import MetricsRegistry
-from repro.params import model_a, model_b
+from repro.params import make_model
 
 #: the pinned scorecard matrix — the paper's proposal (lcu), its
 #: degradable deployment (lcu_fb), the unfair hardware baseline (ssb),
@@ -60,10 +60,6 @@ DEFAULT_SEED = 1
 #: point) but shrinks each cell: fewer threads, shorter duration.
 QUICK_THREADS = 8
 QUICK_DURATION = 40_000
-
-
-def _config(model: str):
-    return model_a() if model.upper() == "A" else model_b()
 
 
 def scorecard_matrix(
@@ -114,7 +110,7 @@ def run_fairness_cell(
     )
     t0 = time.perf_counter()
     ref = run_microbench(
-        _config(spec["model"]), spec["lock"], spec["threads"], **kwargs,
+        make_model(spec["model"]), spec["lock"], spec["threads"], **kwargs,
     )
     host_s = time.perf_counter() - t0
 
@@ -123,7 +119,7 @@ def run_fairness_cell(
         slo=slo, starvation_bound=starvation_bound,
     )
     instr = run_microbench(
-        _config(spec["model"]), spec["lock"], spec["threads"],
+        make_model(spec["model"]), spec["lock"], spec["threads"],
         registry=registry, fairness=observatory, **kwargs,
     )
     section = observatory.to_dict()

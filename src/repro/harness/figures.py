@@ -22,7 +22,7 @@ from repro.harness.reporting import (
     render_table,
 )
 from repro.harness.stm_bench import run_stm_bench
-from repro.params import MachineConfig, model_a, model_b
+from repro.params import make_model, model_a
 
 
 @dataclasses.dataclass
@@ -35,10 +35,6 @@ class FigureResult:
 
     def __str__(self) -> str:  # pragma: no cover
         return self.text
-
-
-def _model(name: str, **overrides) -> MachineConfig:
-    return model_a(**overrides) if name == "A" else model_b(**overrides)
 
 
 def _trace_once(tracer):
@@ -84,7 +80,7 @@ def figure9(
             vals = []
             for t in thread_counts:
                 r = run_microbench(
-                    _model(model), lock, t, w,
+                    make_model(model), lock, t, w,
                     iters_per_thread=iters_per_thread, seed=seed,
                     registry=registry, tracer=take_tracer(),
                     sample_interval=sample_interval,
@@ -129,7 +125,7 @@ def figure10(
     """CS execution time, LCU vs software locks (Fig 10).  Thread counts
     above 32 oversubscribe the cores and expose the queue-lock
     preemption anomaly."""
-    cfg_base = _model(model)
+    cfg_base = make_model(model)
     series: Dict[str, List[float]] = {}
     take_tracer = _trace_once(tracer)
     take_profiler = _trace_once(profiler)
@@ -146,7 +142,7 @@ def figure10(
                     # >cores anomaly under study is the queue-lock one.
                     vals.append(float("nan"))
                     continue
-                cfg = _model(model, timeslice=quantum)
+                cfg = make_model(model, timeslice=quantum)
                 r = run_microbench(
                     cfg, lock, t, w,
                     iters_per_thread=iters_per_thread, seed=seed,
@@ -204,7 +200,7 @@ def figure11(
         vals, parts = [], []
         for t in thread_counts:
             r = run_stm_bench(
-                _model(model), v, "rb", threads=t,
+                make_model(model), v, "rb", threads=t,
                 initial_size=initial_size,
                 txns_per_thread=txns_per_thread, seed=seed,
                 registry=registry, tracer=take_tracer(),
@@ -257,7 +253,7 @@ def figure12(
     for structure in structures:
         for v in variants:
             r = run_stm_bench(
-                _model(model), v, structure, threads=threads,
+                make_model(model), v, structure, threads=threads,
                 initial_size=sizes[structure],
                 txns_per_thread=txns_per_thread, seed=seed,
                 registry=registry, tracer=take_tracer(),

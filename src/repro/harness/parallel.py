@@ -36,15 +36,41 @@ import functools
 import os
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from repro.harness.bench import BenchCellSpec, _config
 from repro.harness.microbench import run_microbench
 from repro.obs.registry import MetricsRegistry
 from repro.obs.report import build_run_report
+from repro.params import make_model
 from repro.shards import shard_map
 
-#: the CI smoke matrix: two cells, one seed — small enough to finish in
-#: seconds, large enough to exercise the shard/merge path end to end.
-SMOKE_CELLS = (("lcu", "A", 4), ("mcs", "B", 4))
+#: the default sweep matrix: one software lock (mcs), the paper's
+#: hardware lock (lcu) and the RW baseline (mrsw) over both machine
+#: models at a low and a high thread count.
+DEFAULT_LOCKS = ("lcu", "mcs", "mrsw")
+DEFAULT_THREADS = (4, 16)
+DEFAULT_WRITE_PCT = 100
+DEFAULT_ITERS = 150
+
+
+@dataclasses.dataclass(frozen=True)
+class BenchCellSpec:
+    """One cell of a sweep matrix."""
+
+    lock: str
+    model: str
+    threads: int
+    write_pct: int = DEFAULT_WRITE_PCT
+    iters: int = DEFAULT_ITERS
+    seed: int = 1
+
+
+def default_matrix(
+    locks=DEFAULT_LOCKS, models=("A", "B"), threads=DEFAULT_THREADS,
+    write_pct=DEFAULT_WRITE_PCT, iters=DEFAULT_ITERS, seed=1,
+) -> List[BenchCellSpec]:
+    return [
+        BenchCellSpec(lock, model, t, write_pct, iters, seed)
+        for lock in locks for model in models for t in threads
+    ]
 
 
 def sweep_shards(
@@ -73,7 +99,7 @@ def _run_shard(shard: Tuple[BenchCellSpec, int],
         from repro.obs.fairness import FairnessObservatory
         observatory = FairnessObservatory()
     result = run_microbench(
-        _config(spec.model), spec.lock, spec.threads, spec.write_pct,
+        make_model(spec.model), spec.lock, spec.threads, spec.write_pct,
         iters_per_thread=spec.iters, seed=seed, registry=registry,
         fairness=observatory,
     )

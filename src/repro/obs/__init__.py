@@ -23,8 +23,8 @@ The observability layer of the reproduction (see README "Observability"):
 * :mod:`repro.obs.diff` — structural RunReport diffing with relative-
   threshold regression verdicts (``python -m repro diff``).
 * :mod:`repro.obs.host` — environment fingerprints and the
-  ``repro.bench-trajectory`` schema behind ``python -m repro bench``.
-  Per-layer host time comes from ``python perf/run.py --trace``.
+  ``repro.bench-trajectory`` schema behind ``python -m repro
+  fairness``.  Simulator speed comes from ``python perf/run.py``.
 * :mod:`repro.obs.fairness` — :class:`FairnessObservatory`: passive
   fairness/starvation observatory — arrival-vs-grant overtake ledger,
   per-thread wait histograms, sliding-window Jain/writer-share series,
@@ -64,7 +64,6 @@ from repro.obs.profile import (
 from repro.obs.registry import (
     Counter,
     Gauge,
-    HostTimer,
     MetricError,
     MetricsRegistry,
 )
@@ -88,7 +87,7 @@ from repro.obs.spans import (
 )
 
 __all__ = [
-    "MetricsRegistry", "Counter", "Gauge", "HostTimer", "MetricError",
+    "MetricsRegistry", "Counter", "Gauge", "MetricError",
     "SpanTracer", "Span", "SpanError", "validate_chrome_trace", "Tracer",
     "build_run_report", "validate_run_report", "write_run_report",
     "load_run_report", "summarize_run_report", "ReportValidationError",

@@ -19,15 +19,11 @@ Config keys are compared too — a diff between runs of *different
 experiments* is almost always user error, so config mismatches are
 listed prominently (but are not regressions).
 
-``python -m repro diff --host`` extends the same machinery to *host*
-performance: it compares two bench-trajectory records —
-cycles-per-host-second, best-of-N host seconds and the engine's
-event-queue counters.  Host wall-clock is noisy where simulated cycles
-are exact, so host diffs use their own (more generous) threshold and
-carry the records' environment fingerprints: a mismatch (different
-python, different machine) is flagged because it compares machines,
-not code.  Per-layer host time is not diffed here; ``python
-perf/run.py --trace`` reports it.
+The same machinery compares two fairness-trajectory records
+(``BENCH_fairness.json``, :func:`diff_fairness_records`).  Every
+compared quantity is simulated, so two runs of the same code diff as
+unchanged.  Host time is never diffed here: ``python perf/run.py``
+measures simulator speed, end to end and (``--trace``) per layer.
 """
 
 from __future__ import annotations
@@ -36,23 +32,19 @@ import dataclasses
 from typing import Any, Dict, List, Optional, Tuple
 
 #: name substrings implying "smaller is better" (latency-like).
-#: "host" covers every host-time quantity (host_seconds_*) — time
-#: burned.
 LOWER_IS_BETTER = (
     "latency", "lat", "cycles", "elapsed", "abort", "retries", "retry",
     "timeout", "failures", "failed", "misses", "invalidations",
     "queue_delay", "busy", "messages", "wait", "evictions", "nacks",
     "dropped", "overflow", "stall", "handoff", "transfer", "enqueue",
-    "host", "heap_pushes", "heap_pops", "events_processed",
+    "heap_pushes", "heap_pops", "events_processed",
     "overtake", "starvation", "violation", "abandoned",
 )
 
 #: name substrings implying "bigger is better" (throughput-like).
-#: "per_host_sec" outranks the "host"/"cycles" lower-is-better matches
-#: because higher-is-better substrings win ties.
 HIGHER_IS_BETTER = (
     "total_cs", "throughput", "commit", "fairness", "hits", "ops",
-    "acquisitions", "completed", "per_host_sec", "jain", "writer_share",
+    "acquisitions", "completed", "jain", "writer_share",
 )
 
 #: verdicts, in severity order for sorting
@@ -130,9 +122,8 @@ def _comparable(report: Dict[str, Any]) -> Dict[str, float]:
     """Extract the quantities worth diffing from one RunReport.
 
     Host wall-clock never enters: an older report's ``host`` section and
-    registry HostTimer counters (the ``.host_ns`` convention) are
-    nondeterministic, so they would flake the deterministic
-    simulated-metrics gate."""
+    its ``*.host_ns`` counters are nondeterministic, so they would flake
+    the deterministic simulated-metrics gate."""
     out: Dict[str, float] = {}
     out.update(_numeric_leaves(report.get("results", {}), "results"))
     metrics = report.get("metrics", {})
@@ -328,33 +319,7 @@ def diff_run_reports(
 
 
 # --------------------------------------------------------------------- #
-# host diffs (`repro diff --host`)
-
-def host_comparable(record: Dict[str, Any]) -> Dict[str, float]:
-    """Flatten one bench-trajectory record into dotted-path -> number.
-
-    Cells are keyed by their configuration (``lcu.A.t16.w100``) rather
-    than list position, so reordering or extending the matrix pairs up
-    the surviving cells instead of shifting everything."""
-    out: Dict[str, float] = {}
-    for cell in record.get("cells", []):
-        if not isinstance(cell, dict):
-            continue
-        prefix = f"{cell.get('lock')}.{cell.get('model')}" \
-                 f".t{cell.get('threads')}"
-        if cell.get("write_pct") is not None:
-            prefix += f".w{cell.get('write_pct')}"
-        for key in ("cycles_per_host_sec", "host_seconds_best",
-                    "host_seconds_mean", "simulated_cycles", "total_cs",
-                    "cycles_per_cs"):
-            v = cell.get(key)
-            if isinstance(v, (int, float)) and not isinstance(v, bool):
-                out[f"{prefix}.{key}"] = v
-        engine = cell.get("engine")
-        if isinstance(engine, dict):
-            out.update(_numeric_leaves(engine, f"{prefix}.engine"))
-    return out
-
+# fairness-trajectory diffs (`repro diff` on two BENCH_fairness files)
 
 #: per-cell scorecard quantities of a fairness-trajectory record
 #: (``BENCH_fairness.json``).  All deterministic — simulated, not host
@@ -380,8 +345,9 @@ def is_fairness_record(record: Any) -> bool:
 
 def fairness_comparable(record: Dict[str, Any]) -> Dict[str, float]:
     """Flatten one fairness-trajectory record into dotted-path ->
-    number.  Cells are keyed by configuration (``lcu.A.t12.w20``) like
-    :func:`host_comparable`; scorecard quantities live under a
+    number.  Cells are keyed by configuration (``lcu.A.t12.w20``)
+    rather than list position, so reordering or extending the matrix
+    pairs up the surviving cells; scorecard quantities live under a
     ``fairness.`` segment so :func:`direction_of` judges them by their
     tail (``...fairness.jain`` higher-is-better,
     ``...fairness.max_overtake`` lower)."""
@@ -415,41 +381,13 @@ def diff_fairness_records(
     default threshold matches the simulated-metrics gate, and a
     fairness drop — lower Jain, a bigger worst overtake, a starved
     writer share, a fatter p999 wait — earns a **regression** verdict
-    through the same direction machinery as ``repro diff``."""
+    through the same direction machinery as ``repro diff``.  The
+    records' environment-fingerprint and label differences are
+    reported as config mismatches."""
+    from repro.obs.host import fingerprint_mismatches
     entries = _diff_entries(
         fairness_comparable(old), fairness_comparable(new), threshold
     )
-    return _record_diff(old, new, entries, threshold)
-
-
-def diff_host_records(
-    old: Dict[str, Any],
-    new: Dict[str, Any],
-    threshold: float = 0.25,
-) -> RunReportDiff:
-    """Compare two bench-trajectory records' host metrics.
-
-    ``threshold`` defaults looser than the simulated-metrics diff (25%
-    vs 10%): host wall-clock on shared runners jitters in ways
-    simulated cycles never do.  Environment-fingerprint differences are
-    reported through ``config_mismatches`` (``env.python`` etc.) so the
-    caller can warn that the two records measured different machines.
-    """
-    entries = _diff_entries(
-        host_comparable(old), host_comparable(new), threshold
-    )
-    return _record_diff(old, new, entries, threshold)
-
-
-def _record_diff(
-    old: Dict[str, Any],
-    new: Dict[str, Any],
-    entries: List[DiffEntry],
-    threshold: float,
-) -> RunReportDiff:
-    """Wrap two trajectory records' entries, reporting environment-
-    fingerprint and label differences as config mismatches."""
-    from repro.obs.host import fingerprint_mismatches
     mismatches: List[Tuple[str, Any, Any]] = [
         (f"env.{k}", o, n)
         for k, o, n in fingerprint_mismatches(

@@ -1,17 +1,17 @@
-"""Host-benchmark records: environment fingerprints and the bench
-trajectory schema.
+"""Environment fingerprints and the trajectory schema.
 
-``repro.obs`` measures the simulated machine; this module holds what the
-host-speed tooling shares.  Per-layer host time is measured outside the
-simulator, by ``python perf/run.py --workload W --trace``.
+``repro.obs`` measures the simulated machine.  Simulator speed is
+measured outside it, by ``python perf/run.py`` (end to end, and per
+layer with ``--trace``); this module holds what that and the
+record-keeping verbs share.
 
-* :func:`env_fingerprint` — the environment stamp every bench record
-  carries (python version/implementation, platform, CPU count) so a
-  trajectory mixing machines is visible instead of silently noisy.
-* The **bench trajectory** schema (``repro.bench-trajectory``) —
-  the machine-readable, append-only record list behind
-  ``BENCH_engine.json`` and ``python -m repro bench``; see
-  :mod:`repro.harness.bench` for the runner that produces records.
+* :func:`env_fingerprint` — the environment stamp (python
+  version/implementation, platform, CPU count) that every trajectory
+  record and ``perf/child.py``'s results carry, so numbers from
+  different machines are visible as such instead of silently noisy.
+* The **trajectory** schema (``repro.bench-trajectory``) — the
+  machine-readable, append-only record list behind
+  ``BENCH_fairness.json`` and ``python -m repro fairness``.
 * :func:`validate_host_section` — checks the ``host`` sections that
   older records and v3 RunReports carry.  Nothing writes them any more.
 """
@@ -79,10 +79,9 @@ def validate_host_section(host: Any) -> None:
 # environment fingerprint
 
 def env_fingerprint() -> Dict[str, Any]:
-    """The environment stamp carried by every bench-trajectory record.
-    Two records with different fingerprints are still diffable, but
-    ``repro diff --host`` warns: cross-machine host numbers are a
-    comparison of machines, not of code."""
+    """The environment stamp carried by every trajectory record.  Two
+    records with different fingerprints are still diffable; ``repro
+    diff`` lists the keys on which they differ."""
     return {
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
@@ -104,7 +103,7 @@ def fingerprint_mismatches(
 
 
 # ---------------------------------------------------------------------- #
-# bench trajectory (the BENCH_*.json record-list schema)
+# trajectory (the BENCH_fairness.json record-list schema)
 
 TRAJECTORY_SCHEMA = "repro.bench-trajectory"
 TRAJECTORY_VERSION = 1
@@ -156,13 +155,6 @@ def validate_record(record: Any) -> None:
     label = record.get("label")
     if label is not None and not isinstance(label, str):
         errors.append("record.label must be a string")
-    report = record.get("report")
-    if report is not None:
-        from repro.obs.report import ReportValidationError, validate_run_report
-        try:
-            validate_run_report(report)
-        except ReportValidationError as exc:
-            errors.append(f"record.report: {exc}")
     if errors:
         raise HostProfileError("; ".join(errors))
 

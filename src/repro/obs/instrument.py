@@ -98,9 +98,9 @@ def harvest_machine_metrics(
 
     registry.counter("engine.events_processed").inc(sim.events_processed)
     registry.counter("engine.cycles").inc(sim.now)
-    # event-queue internals (repro.obs.host / `repro bench` read
-    # these to size the engine's keyed heap): pushes and pops, depth
-    # profile, Signal waiter churn.
+    # event-queue internals (every --metrics-out report carries them
+    # and `repro diff` compares them): pushes and pops, depth profile,
+    # Signal waiter churn.
     registry.counter("engine.heap_pushes").inc(sim.heap_pushes)
     registry.counter("engine.heap_pops").inc(sim.heap_pops)
     registry.counter("engine.signal_waits").inc(sim.signal_waits)

@@ -178,7 +178,8 @@ class ContentionProfiler:
 
     Subscribers are passive: they never schedule events or send
     messages, so the simulated cycle counts of a profiled run are
-    identical to an unprofiled one (``BENCH_profile.json`` tracks the
+    identical to an unprofiled one (``tests/test_obs_bus.py`` pins
+    that, and ``perf/run.py``'s ``observed`` workload measures the
     host-time cost).
     """
 

@@ -25,7 +25,6 @@ only while :meth:`MetricsRegistry.start_sampling` is active.
 from __future__ import annotations
 
 import re
-import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.sim.stats import Histogram
@@ -101,53 +100,6 @@ class Gauge:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Gauge({self.name})"
-
-
-class HostTimer:
-    """Monotonic host-clock counter: accumulates ``perf_counter_ns``
-    deltas straight into one :class:`Counter`'s value (nanoseconds).
-
-    Built for the host-performance observatory (:mod:`repro.obs.host`):
-    each :meth:`stop` is two clock reads and one float add on a counter
-    the caller already holds — no registry lookup, no per-sample tuple
-    or dict-entry allocation, unlike sampled gauge series.  The counter
-    exports through the ordinary ``MetricsRegistry.to_dict()`` counters
-    table, so host timings ride the existing RunReport/diff pipeline,
-    and the PR 3 sampling lifecycle is untouched (a timer is never
-    scheduled on the simulator).  Usable as a context manager and
-    re-entrant-safe in the simple nested sense (inner spans re-start).
-    """
-
-    __slots__ = ("counter", "_t0")
-
-    #: overridable in tests for deterministic timing
-    clock: Callable[[], int] = staticmethod(time.perf_counter_ns)
-
-    def __init__(self, counter: Counter) -> None:
-        self.counter = counter
-        self._t0: Optional[int] = None
-
-    def start(self) -> "HostTimer":
-        self._t0 = self.clock()
-        return self
-
-    def stop(self) -> int:
-        """Accumulate and return the nanoseconds since :meth:`start`
-        (0 if never started — stopping an idle timer is harmless)."""
-        if self._t0 is None:
-            return 0
-        elapsed = self.clock() - self._t0
-        self._t0 = None
-        if elapsed > 0:
-            self.counter.value += elapsed
-            return elapsed
-        return 0
-
-    def __enter__(self) -> "HostTimer":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
 
 
 class MetricsRegistry:
@@ -228,14 +180,6 @@ class MetricsRegistry:
                 f"{h.bucket_width}, requested {bucket_width}"
             )
         return h
-
-    def timer(self, name: str) -> HostTimer:
-        """A :class:`HostTimer` charging host nanoseconds into the
-        counter ``name`` (conventionally ``*.host_ns``).  Each call
-        returns a fresh timer over the same underlying counter, so
-        concurrent scopes (e.g. per-repeat bench timers) don't clobber
-        each other's start marks."""
-        return HostTimer(self.counter(name))
 
     @property
     def names(self) -> List[str]:

@@ -173,6 +173,29 @@ def small_test_model(**overrides) -> MachineConfig:
     return cfg
 
 
+_MODELS = {"A": model_a, "B": model_b, "T": small_test_model}
+
+
+def make_model(model: str, **overrides) -> MachineConfig:
+    """Build a machine config by model letter (A, B, or the test model
+    T; case-insensitive).  Raises ValueError on any other name.
+
+    Accepts a synthetic ``cores`` override (``MachineConfig.cores`` is
+    derived): the machine becomes a single chip with that many cores —
+    the fuzzer uses it to force thread-over-core oversubscription."""
+    try:
+        factory = _MODELS[model.upper()]
+    except KeyError:
+        raise ValueError(
+            f"unknown model {model!r}; known: {sorted(_MODELS)}"
+        ) from None
+    cores = overrides.pop("cores", None)
+    if cores is not None:
+        overrides["chips"] = 1
+        overrides["cores_per_chip"] = cores
+    return factory(**overrides)
+
+
 def figure8_rows(configs: Optional[List[MachineConfig]] = None) -> List[List[str]]:
     """Rows of the paper's Figure 8 parameter table, for the harness."""
     if configs is None:

@@ -103,32 +103,6 @@ class Accumulator:
         return f"Accumulator(n={self.n}, mean={self.mean:.2f})"
 
 
-def dispersion(values: Iterable[float]) -> Dict[str, float]:
-    """Best-of-N summary for repeated *host* timings.
-
-    The repo's simulated quantities are deterministic, but host
-    wall-clock is not: ``repro bench`` repeats every cell and records
-    best (the least-interfered-with run, the number to optimise),
-    mean/stdev (the noise), and the relative spread ``(max - min) /
-    best`` — a large spread means the machine was busy and the record
-    should be trusted less.
-    """
-    acc = Accumulator()
-    acc.extend(values)
-    if acc.n == 0:
-        return {"n": 0, "best": 0.0, "mean": 0.0, "stdev": 0.0,
-                "max": 0.0, "rel_spread": 0.0}
-    best = acc.min or 0.0
-    return {
-        "n": acc.n,
-        "best": best,
-        "mean": acc.mean,
-        "stdev": acc.stdev,
-        "max": acc.max,
-        "rel_spread": ((acc.max - acc.min) / best) if best > 0 else 0.0,
-    }
-
-
 def jain_fairness(values: Iterable[float]) -> float:
     """Jain's fairness index: 1.0 = perfectly fair, 1/n = maximally unfair.
 

@@ -187,15 +187,19 @@ class TestDiffVerb:
         assert "--threshold" in err
 
     def test_trajectory_baseline_diffable(self, tmp_path):
-        # BENCH_telemetry.json is a bench trajectory whose latest record
-        # embeds a run report; the plain diff gate must keep accepting
-        # it as a baseline (it stands in for the embedded report).
+        # BENCH_telemetry.json, the CI perf-regression baseline, is a
+        # plain run report; the diff compares its engine counters too
         bench = pathlib.Path(__file__).resolve().parent.parent / \
             "BENCH_telemetry.json"
+        out_json = tmp_path / "d.json"
         code, out, _ = run_cli("diff", str(bench), str(bench),
-                               "--fail-on-regression")
+                               "--fail-on-regression",
+                               "--json-out", str(out_json))
         assert code == 0
         assert "unchanged" in out
+        keys = {e["key"] for e in json.loads(out_json.read_text())["entries"]}
+        assert "metrics.counters.engine.events_processed" in keys
+        assert "metrics.counters.engine.heap_pushes" in keys
 
     def test_old_version_report_still_diffable(self, tmp_path):
         # pre-v3 reports (no 'host' section) must stay accepted as diff

@@ -68,7 +68,7 @@ class TestSweepDeterminism:
     count changes wall time, never one byte of the merged artifact."""
 
     def _specs(self):
-        from repro.harness.bench import BenchCellSpec
+        from repro.harness.parallel import BenchCellSpec
         return [
             BenchCellSpec("lcu", "A", 4, iters=25),
             BenchCellSpec("mcs", "A", 4, iters=25),

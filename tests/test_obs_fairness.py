@@ -387,7 +387,7 @@ class TestReportIntegration:
 
 class TestSweepFairness:
     def _specs(self):
-        from repro.harness.bench import BenchCellSpec
+        from repro.harness.parallel import BenchCellSpec
         return [
             BenchCellSpec("lcu", "A", 4, iters=25),
             BenchCellSpec("ssb", "A", 4, iters=25),
@@ -507,3 +507,104 @@ class TestFairnessCli:
     def test_fairness_rejects_unknown_lock(self):
         code, _ = _run_cli("fairness", "--quick", "--locks", "nosuch")
         assert code == 2
+
+    def test_label_append_idempotent(self, tmp_path):
+        path = tmp_path / "t.json"
+        for label in ("ci", "ci", "other"):
+            code, _ = _run_cli(
+                "fairness", "--quick", "--locks", "lcu", "--models", "A",
+                "--out", str(path), "--label", label,
+            )
+            assert code == 0
+        records = json.loads(path.read_text())["records"]
+        assert [r.get("label") for r in records] == ["ci", "other"]
+
+    def test_no_append_with_json_out(self, tmp_path):
+        path = tmp_path / "t.json"
+        rec_path = tmp_path / "rec.json"
+        code, _ = _run_cli(
+            "fairness", "--quick", "--locks", "lcu", "--models", "A",
+            "--out", str(path), "--no-append", "--json-out", str(rec_path),
+        )
+        assert code == 0
+        assert not path.exists()
+        rec = json.loads(rec_path.read_text())
+        assert rec["cells"][0]["lock"] == "lcu"
+
+
+def _fairness_record(label, jain):
+    from repro.obs.host import env_fingerprint
+
+    cell = {"lock": "lcu", "model": "A", "threads": 4, "write_pct": 20,
+            "simulated_cycles": 1000, "cycles_per_host_sec": 1.0,
+            "engine": {}, "jain": jain}
+    return {"env": env_fingerprint(), "label": label, "cells": [cell]}
+
+
+def _write_fairness_trajectory(path, *records):
+    from repro.obs.host import write_trajectory
+
+    write_trajectory(str(path), {
+        "schema": "repro.bench-trajectory", "version": 1,
+        "records": list(records),
+    })
+
+
+class TestFairnessDiffRecords:
+    """``repro diff`` on fairness trajectories: which records it
+    compares, and what it refuses."""
+
+    def test_record_zero_fairness_same_file_exit_two(self, tmp_path,
+                                                      capsys):
+        # --record picks NEW; from one file OLD is the record before it,
+        # and the first record has none
+        path = tmp_path / "f.json"
+        _write_fairness_trajectory(path, _fairness_record("a", 0.9),
+                                   _fairness_record("b", 0.5))
+        code, _ = _run_cli("diff", str(path), str(path), "--record", "0")
+        assert code == 2
+        assert "first record" in capsys.readouterr().err
+        code, out = _run_cli("diff", str(path), str(path),
+                             "--fail-on-regression")
+        assert code == 1
+        assert "fairness.jain" in out
+        assert "fairness regression" in capsys.readouterr().err
+
+    def test_record_index_selects(self, tmp_path):
+        path = tmp_path / "f.json"
+        _write_fairness_trajectory(path, _fairness_record("a", 0.9),
+                                   _fairness_record("b", 0.9),
+                                   _fairness_record("c", 0.9))
+        code, out = _run_cli("diff", str(path), str(path),
+                             "--record", "2")
+        assert code == 0
+        assert "label: 'b' -> 'c'" in out
+        code, out = _run_cli("diff", str(path), str(path),
+                             "--record", "1")
+        assert code == 0
+        assert "label: 'a' -> 'b'" in out
+        # from two files, OLD takes the same index as NEW; differing
+        # environment fingerprints are listed as config mismatches
+        other = tmp_path / "g.json"
+        x = _fairness_record("x", 0.9)
+        x["env"]["python"] = "9.9.9"
+        _write_fairness_trajectory(other, x, _fairness_record("y", 0.9))
+        code, out = _run_cli("diff", str(other), str(path),
+                             "--record", "0")
+        assert code == 0
+        assert "label: 'x' -> 'a'" in out
+        assert "env.python: '9.9.9'" in out
+
+    def test_trajectory_against_run_report_exit_two(self, tmp_path,
+                                                     capsys):
+        traj = tmp_path / "f.json"
+        _write_fairness_trajectory(traj, _fairness_record("a", 0.9))
+        rep = tmp_path / "rep.json"
+        code, _ = _run_cli(
+            "microbench", "--lock", "lcu", "--threads", "2",
+            "--iters", "3", "--metrics-out", str(rep),
+        )
+        assert code == 0
+        code, _ = _run_cli("diff", str(traj), str(rep))
+        assert code == 2
+        assert "another trajectory" in capsys.readouterr().err

@@ -1,6 +1,5 @@
-"""Unit tests for repro.obs.host and its neighbours: engine event-queue
-telemetry, trajectory records, host-section validation, environment
-fingerprints and registry HostTimers.
+"""Unit tests for repro.obs.host: trajectory records, host-section
+validation and environment fingerprints.
 """
 
 import pytest
@@ -19,36 +18,6 @@ from repro.obs.host import (
     validate_trajectory,
     write_trajectory,
 )
-from repro.obs.registry import HostTimer, MetricsRegistry
-from repro.sim.engine import Simulator
-
-
-# --------------------------------------------------------------------- #
-# zero-cost-when-off overhead guard (satellite b)
-
-class TestOverheadGuard:
-    def test_run_loop_unchanged_without_profiler(self):
-        # the dispatch slot is empty by default: the loop calls each
-        # event directly after one None-check
-        sim = Simulator()
-        assert sim.dispatch is None
-        fired = []
-        sim.at(5, lambda: fired.append(sim.now))
-        sim.run()
-        assert fired == [5]
-
-    def test_queue_counter_cost_is_integer_ops(self):
-        # the always-on telemetry is a handful of integer ops per event;
-        # guard the *mechanism* (no dict/list churn per event) rather
-        # than asserting an unmeasurable sub-2% wall-clock bound in CI
-        sim = Simulator()
-        for i in range(100):
-            sim.at(i, lambda: None)
-        sim.run()
-        assert sim.heap_pushes == 100
-        assert sim.heap_pops == 100
-        assert sim.queue_depth_peak == 100
-        assert 0 < sim.queue_depth_mean <= 100
 
 
 # --------------------------------------------------------------------- #
@@ -184,42 +153,3 @@ class TestFingerprint:
         assert fingerprint_mismatches(a, a) == []
         mism = fingerprint_mismatches(a, b)
         assert mism == [("python", a["python"], "9.9.9")]
-
-
-# --------------------------------------------------------------------- #
-# registry HostTimer (satellite f)
-
-class TestHostTimer:
-    def test_accumulates_into_counter(self):
-        reg = MetricsRegistry()
-        timer = reg.timer("x.host_ns")
-        timer.start()
-        elapsed = timer.stop()
-        assert elapsed >= 0
-        assert reg.counter("x.host_ns").value == elapsed
-
-    def test_no_per_sample_dict_churn(self):
-        # the timer holds one counter reference; repeated start/stop
-        # must not allocate registry entries per sample
-        reg = MetricsRegistry()
-        timer = reg.timer("x.host_ns")
-        for _ in range(10):
-            with timer:
-                pass
-        assert list(reg.to_dict()["counters"]) == ["x.host_ns"]
-        assert reg.counter("x.host_ns").value >= 0
-
-    def test_stop_when_idle_is_zero(self):
-        timer = MetricsRegistry().timer("x.host_ns")
-        assert timer.stop() == 0
-
-    def test_fake_clock(self, monkeypatch):
-        reg = MetricsRegistry()
-        timer = reg.timer("x.host_ns")
-        ticks = iter([100, 350])
-        monkeypatch.setattr(
-            HostTimer, "clock", staticmethod(lambda: next(ticks))
-        )
-        with timer:
-            pass
-        assert reg.counter("x.host_ns").value == 250

@@ -4,7 +4,9 @@ import dataclasses
 
 import pytest
 
-from repro.params import figure8_rows, model_a, model_b, small_test_model
+from repro.params import (
+    figure8_rows, make_model, model_a, model_b, small_test_model,
+)
 
 
 class TestModelA:
@@ -60,6 +62,16 @@ class TestValidation:
     def test_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
             model_a().chips = 4  # type: ignore[misc]
+
+
+class TestMakeModel:
+    @pytest.mark.parametrize("name", ["A", "B", "T", "a", "b"])
+    def test_letters_name_their_model(self, name):
+        assert make_model(name).name == name.upper()
+
+    def test_unknown_name_raises(self):
+        with pytest.raises(ValueError, match="unknown model 'Z'"):
+            make_model("Z")
 
 
 class TestFigure8Table:

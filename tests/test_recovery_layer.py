@@ -218,3 +218,34 @@ class TestCrossEpisodeGenerations:
         m.drain(5_000)
         assert lrt.entry(addr) is None
         drain_and_check(m)
+
+    def test_late_duplicate_release_acked_below_floor_fenced(self, m):
+        # The two monotone marks differ on releases: a late duplicate
+        # from the old episode (gen in [floor, high]) is acked, while
+        # one issued under a reclaimed hold (gen below the floor) is
+        # fenced.  A fence merged at the watermark would fence both.
+        addr, lrt = self._reclaimed_then_removed(m)
+        floor = lrt._gen_floor[addr]
+        high = lrt._gen_high[addr]
+        assert floor < high
+        lcu = m.lcus[2]
+        rel = msg.Who(9, 2, True)
+        stray = lrt.stats.get("stray_releases", 0)
+        fenced = lrt.stats.get("fenced_releases", 0)
+        fenced_ops = lcu.stats.get("fenced_ops", 0)
+
+        m.net.send(("core", 2), ("lrt", lrt.lrt_id),
+                   msg.ReleaseMsg(addr, rel, gen=floor))
+        m.drain(5_000)
+        assert lrt.stats["stray_releases"] == stray + 1
+        assert lrt.stats.get("fenced_releases", 0) == fenced
+        assert lcu.stats.get("fenced_ops", 0) == fenced_ops
+
+        m.net.send(("core", 2), ("lrt", lrt.lrt_id),
+                   msg.ReleaseMsg(addr, rel, gen=floor - 1))
+        m.drain(5_000)
+        assert lrt.stats["stray_releases"] == stray + 1
+        assert lrt.stats["fenced_releases"] == fenced + 1
+        assert lcu.stats["fenced_ops"] == fenced_ops + 1
+        assert lrt.entry(addr) is None
+        drain_and_check(m)
