@@ -15,8 +15,9 @@ same artifact ``--fairness`` produces on the CLI:
 """
 
 from repro.harness.microbench import run_microbench
-from repro.obs import MetricsRegistry, build_run_report
+from repro.obs import MetricsRegistry
 from repro.obs.fairness import FairnessObservatory
+from repro.obs.report import build_run_report
 from repro.params import model_a, model_b
 
 

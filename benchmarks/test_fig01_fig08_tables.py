@@ -1,6 +1,6 @@
 """Figures 1 and 8: the paper's qualitative tables, generated from code."""
 
-from repro.harness import figure1_table, figure8_table
+from repro.harness.tables import figure1_table, figure8_table
 
 
 def test_figure1_comparison_table(benchmark):

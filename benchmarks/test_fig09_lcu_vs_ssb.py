@@ -10,7 +10,7 @@ Expected shapes (paper Section IV-A):
 
 from conftest import assert_checks, emit
 
-from repro.harness import figure9
+from repro.harness.figures import figure9
 
 THREADS = (4, 8, 16, 32)
 

@@ -14,7 +14,7 @@ Expected shapes (paper Section IV-A):
 
 from conftest import assert_checks, emit
 
-from repro.harness import figure10
+from repro.harness.figures import figure10
 
 
 def test_fig10a_model_a(benchmark):

@@ -11,7 +11,7 @@ Expected shapes (paper Section IV-B):
 
 from conftest import assert_checks, emit
 
-from repro.harness import figure11
+from repro.harness.figures import figure11
 
 
 def test_fig11a_model_a(benchmark):

@@ -10,7 +10,7 @@ bigger sizes via figure12(sizes=...) for paper scale (EXPERIMENTS.md).
 
 from conftest import assert_checks, emit
 
-from repro.harness import figure12
+from repro.harness.figures import figure12
 
 
 def test_fig12a_model_a(benchmark):

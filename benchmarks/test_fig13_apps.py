@@ -11,7 +11,7 @@ Expected shapes (paper Section IV-C):
 
 from conftest import assert_checks, emit
 
-from repro.harness import figure13
+from repro.harness.figures import figure13
 from repro.harness.reporting import geomean
 
 

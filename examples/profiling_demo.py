@@ -6,7 +6,7 @@ hardware lock, once with a software queue lock — profiles both with
 :class:`repro.obs.ContentionProfiler`, prints the per-phase wait
 decomposition side by side, and finishes with a perf-regression diff:
 the software lock's run report is diffed against the LCU's with
-``repro.obs.diff_run_reports``, the same machinery behind
+``repro.obs.diff.diff_run_reports``, the same machinery behind
 ``python -m repro diff``.
 
 The phase model (see DESIGN.md "Profiling"):
@@ -22,8 +22,10 @@ import os
 import tempfile
 
 from repro.harness.microbench import run_microbench
-from repro.obs import ContentionProfiler, build_run_report, diff_run_reports
+from repro.obs import ContentionProfiler
+from repro.obs.diff import diff_run_reports
 from repro.obs.profile import ACQUIRE_PHASES
+from repro.obs.report import build_run_report
 from repro.params import model_a
 
 

@@ -13,15 +13,14 @@ paper-vs-measured record).
 import argparse
 import time
 
-from repro.harness import (
-    figure1_table,
-    figure8_table,
+from repro.harness.figures import (
     figure9,
     figure10,
     figure11,
     figure12,
     figure13,
 )
+from repro.harness.tables import figure1_table, figure8_table
 
 
 def main() -> None:

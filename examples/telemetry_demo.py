@@ -15,11 +15,8 @@ import os
 import tempfile
 
 from repro.__main__ import main as repro_main
-from repro.obs import (
-    load_run_report,
-    summarize_run_report,
-    validate_chrome_trace,
-)
+from repro.obs import validate_chrome_trace
+from repro.obs.report import load_run_report, summarize_run_report
 
 
 def main() -> int:

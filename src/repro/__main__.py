@@ -51,8 +51,6 @@ import dataclasses
 import json
 import sys
 
-from repro.apps.base import all_apps, run_app
-from repro.harness import figures
 from repro.harness.microbench import run_microbench
 from repro.harness.parallel import (
     DEFAULT_ITERS,
@@ -60,50 +58,50 @@ from repro.harness.parallel import (
     DEFAULT_THREADS,
     DEFAULT_WRITE_PCT,
 )
-from repro.harness.stm_bench import STRUCTURES, run_stm_bench
-from repro.harness.tables import figure1_table, figure8_table
 from repro.locks.base import all_algorithms
-from repro.obs import (
-    MetricsRegistry,
-    ReportValidationError,
-    SpanTracer,
-    build_run_report,
-    summarize_run_report,
-    validate_run_report,
-    write_run_report,
-)
+from repro.obs import MetricsRegistry, SpanTracer
 from repro.params import make_model
-from repro.stm.core import ObjectSTM
 
+#: figure name -> run(figures module, scale, **telemetry kwargs); the
+#: ``repro.harness.figures`` module is passed in so that only the
+#: ``figure`` verb imports it
 _FIGURES = {
-    "fig9a": lambda s, **kw: figures.figure9(
+    "fig9a": lambda f, s, **kw: f.figure9(
         "A", iters_per_thread=100 * s, **kw),
-    "fig9b": lambda s, **kw: figures.figure9(
+    "fig9b": lambda f, s, **kw: f.figure9(
         "B", write_ratios=(100, 50), iters_per_thread=100 * s, **kw),
-    "fig10a": lambda s, **kw: figures.figure10(
+    "fig10a": lambda f, s, **kw: f.figure10(
         "A", thread_counts=(8, 16, 32, 48),
         iters_per_thread=30 * s, quantum=20_000, **kw,
     ),
-    "fig10b": lambda s, **kw: figures.figure10(
+    "fig10b": lambda f, s, **kw: f.figure10(
         "B", thread_counts=(4, 8, 16, 32), iters_per_thread=60 * s,
         locks=("lcu", "mcs", "mrsw", "tatas"), **kw,
     ),
-    "fig11a": lambda s, **kw: figures.figure11(
+    "fig11a": lambda f, s, **kw: f.figure11(
         "A", txns_per_thread=40 * s, **kw),
-    "fig11b": lambda s, **kw: figures.figure11(
+    "fig11b": lambda f, s, **kw: f.figure11(
         "B", thread_counts=(1, 4, 8, 16), txns_per_thread=30 * s, **kw,
     ),
-    "fig12a": lambda s, **kw: figures.figure12(
+    "fig12a": lambda f, s, **kw: f.figure12(
         "A", sizes={"rb": 2_048 * s, "skip": 2_048 * s, "hash": 8_192 * s},
         txns_per_thread=30 * s, **kw,
     ),
-    "fig12b": lambda s, **kw: figures.figure12(
+    "fig12b": lambda f, s, **kw: f.figure12(
         "B", sizes={"rb": 1_024 * s, "skip": 1_024 * s, "hash": 4_096 * s},
         txns_per_thread=25 * s, **kw,
     ),
-    "fig13": lambda s, **kw: figures.figure13(
+    "fig13": lambda f, s, **kw: f.figure13(
         seeds=tuple(range(1, 3 + s)), **kw),
 }
+
+#: ``stm``/``app`` choices, spelled out so that building the parser
+#: imports neither the STM nor the applications; tests/test_cli.py
+#: checks them against ``ObjectSTM.VARIANTS``, ``STRUCTURES`` and
+#: ``all_apps()``
+_STM_VARIANTS = ("fraser", "lcu", "ssb", "sw-only")
+_STM_STRUCTURES = ("hash", "rb", "skip")
+_APPS = ("cholesky", "fluidanimate", "radiosity")
 
 
 #: figures whose runs go through run_microbench and therefore have
@@ -229,6 +227,8 @@ def _obs_emit(args, kind, config, result, registry, tracer,
               profiler=None, fairness=None) -> None:
     """Write the run report / trace files requested on the command line."""
     if registry is not None:
+        from repro.obs.report import build_run_report, write_run_report
+
         results = (
             dataclasses.asdict(result)
             if dataclasses.is_dataclass(result) else result
@@ -294,6 +294,8 @@ def _matrix_kwargs(args, csv_threads: bool = True):
 
 
 def cmd_tables(_args) -> int:
+    from repro.harness.tables import figure1_table, figure8_table
+
     print(figure1_table())
     print()
     print(figure8_table())
@@ -338,6 +340,8 @@ def cmd_microbench(args) -> int:
 
 
 def cmd_stm(args) -> int:
+    from repro.harness.stm_bench import run_stm_bench
+
     config = make_model(args.model)
     registry, tracer = _obs_setup(args)
     r = run_stm_bench(
@@ -363,6 +367,8 @@ def cmd_stm(args) -> int:
 
 
 def cmd_app(args) -> int:
+    from repro.apps.base import run_app
+
     config = make_model(args.model)
     registry, tracer = _obs_setup(args)
     fairness = _fairness_setup(args)
@@ -386,6 +392,8 @@ def cmd_app(args) -> int:
 
 
 def cmd_figure(args) -> int:
+    from repro.harness import figures
+
     registry, tracer = _obs_setup(args)
     profiler = _profiler_setup(args)
     fairness = _fairness_setup(args)
@@ -408,7 +416,7 @@ def cmd_figure(args) -> int:
                   file=sys.stderr)
             return 2
         kwargs["fairness"] = fairness
-    result = _FIGURES[args.name](args.scale, **kwargs)
+    result = _FIGURES[args.name](figures, args.scale, **kwargs)
     print(result.text)
     _obs_emit(
         args, "figure",
@@ -435,6 +443,9 @@ def cmd_figure(args) -> int:
 def cmd_report(args) -> int:
     from repro.obs.host import (
         HostProfileError, is_trajectory, validate_trajectory,
+    )
+    from repro.obs.report import (
+        ReportValidationError, summarize_run_report, validate_run_report,
     )
 
     try:
@@ -479,6 +490,7 @@ def cmd_report(args) -> int:
 
 def cmd_profile(args) -> int:
     from repro.obs.profile import ContentionProfiler
+    from repro.obs.report import build_run_report, write_run_report
 
     if args.top <= 0:
         print("error: --top must be positive", file=sys.stderr)
@@ -548,6 +560,7 @@ def _record_pair(args, old_obj, new_obj):
 def cmd_diff(args) -> int:
     from repro.obs.diff import diff_fairness_records, diff_run_reports
     from repro.obs.host import HostProfileError, is_trajectory
+    from repro.obs.report import ReportValidationError, validate_run_report
 
     threshold = args.threshold
     if threshold < 0:
@@ -883,9 +896,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     st = sub.add_parser("stm")
     st.add_argument("--variant", default="lcu",
-                    choices=sorted(ObjectSTM.VARIANTS))
+                    choices=_STM_VARIANTS)
     st.add_argument("--structure", default="rb",
-                    choices=sorted(STRUCTURES))
+                    choices=_STM_STRUCTURES)
     st.add_argument("--model", default="A", choices=["A", "B"])
     st.add_argument("--threads", type=int, default=8)
     st.add_argument("--size", type=int, default=512)
@@ -895,7 +908,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ap = sub.add_parser("app")
     ap.add_argument("--name", default="fluidanimate",
-                    choices=sorted(all_apps()))
+                    choices=_APPS)
     ap.add_argument("--lock", default="lcu",
                     choices=sorted(all_algorithms()))
     ap.add_argument("--model", default="A", choices=["A", "B"])

@@ -257,9 +257,11 @@ def audit_lcu_queues(machine, strict: bool = False) -> List[str]:
 
     # Locks parked in a Free Lock Table are invisible releases: the LRT
     # legitimately still considers them held at quiescence (paper IV-C).
+    # Only the strict occupancy check reads them.
     parked = set()
-    for lcu in machine.lcus:
-        parked.update(lcu._flt.keys())
+    if strict:
+        for lcu in machine.lcus:
+            parked.update(lcu._flt.keys())
 
     # LRT-side counter sanity (and strict-mode occupancy)
     for lrt in machine.lrts:

@@ -1,19 +1,8 @@
-"""Experiment drivers regenerating every table and figure of the paper."""
+"""Experiment drivers regenerating every table and figure of the paper.
 
-from repro.harness.figures import (
-    FigureResult,
-    figure9,
-    figure10,
-    figure11,
-    figure12,
-    figure13,
-)
-from repro.harness.microbench import MicrobenchResult, run_microbench
-from repro.harness.stm_bench import StmBenchResult, run_stm_bench
-from repro.harness.tables import figure1_table, figure8_table
-
-__all__ = [
-    "FigureResult", "figure9", "figure10", "figure11", "figure12",
-    "figure13", "MicrobenchResult", "run_microbench", "StmBenchResult",
-    "run_stm_bench", "figure1_table", "figure8_table",
-]
+Import the submodule you run (``repro.harness.microbench``,
+``repro.harness.figures``, ``repro.harness.stm_bench``,
+``repro.harness.tables``, ...): the package re-exports nothing, so a
+microbenchmark never loads the STM and application code the figures
+use.
+"""

@@ -38,7 +38,6 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.harness.microbench import run_microbench
 from repro.obs.registry import MetricsRegistry
-from repro.obs.report import build_run_report
 from repro.params import make_model
 from repro.shards import shard_map
 
@@ -117,6 +116,8 @@ def merge_shards(payloads: List[Dict[str, Any]]) -> Dict[str, Any]:
     serial/parallel byte-equality guarantee reduces to "the payloads
     are equal", which holds because each shard is a deterministic
     simulation."""
+    from repro.obs.report import build_run_report
+
     merged = MetricsRegistry()
     cells: List[Dict[str, Any]] = []
     total_cs = 0

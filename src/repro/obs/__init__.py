@@ -11,7 +11,8 @@ The observability layer of the reproduction (see README "Observability"):
   as Chrome trace-event JSON, loadable in Perfetto.
 * :mod:`repro.obs.report` — the versioned ``RunReport`` JSON schema the
   harness emits (``--metrics-out``) and the CLI validates
-  (``python -m repro report``).
+  (``python -m repro report``).  Not re-exported: import it from the
+  submodule.
 * :mod:`repro.obs.instrument` — attaches gauges to a live machine and
   harvests every component's counters after a run; all instrumentation
   is pull-based, so uninstrumented runs pay nothing.
@@ -21,7 +22,8 @@ The observability layer of the reproduction (see README "Observability"):
   extraction, folded-stack / Chrome-trace export
   (``python -m repro profile``).
 * :mod:`repro.obs.diff` — structural RunReport diffing with relative-
-  threshold regression verdicts (``python -m repro diff``).
+  threshold regression verdicts (``python -m repro diff``).  Not
+  re-exported: import it from the submodule.
 * :mod:`repro.obs.host` — environment fingerprints and the
   ``repro.bench-trajectory`` schema behind ``python -m repro
   fairness``.  Simulator speed comes from ``python perf/run.py``.
@@ -33,7 +35,6 @@ The observability layer of the reproduction (see README "Observability"):
   ``python -m repro fairness``.
 """
 
-from repro.obs.diff import RunReportDiff, diff_run_reports
 from repro.obs.fairness import (
     FairnessError,
     FairnessObservatory,
@@ -67,17 +68,6 @@ from repro.obs.registry import (
     MetricError,
     MetricsRegistry,
 )
-from repro.obs.report import (
-    RUN_REPORT_KINDS,
-    RUN_REPORT_SCHEMA,
-    RUN_REPORT_VERSION,
-    ReportValidationError,
-    build_run_report,
-    load_run_report,
-    summarize_run_report,
-    validate_run_report,
-    write_run_report,
-)
 from repro.obs.spans import (
     Span,
     SpanError,
@@ -89,13 +79,9 @@ from repro.obs.spans import (
 __all__ = [
     "MetricsRegistry", "Counter", "Gauge", "MetricError",
     "SpanTracer", "Span", "SpanError", "validate_chrome_trace", "Tracer",
-    "build_run_report", "validate_run_report", "write_run_report",
-    "load_run_report", "summarize_run_report", "ReportValidationError",
-    "RUN_REPORT_SCHEMA", "RUN_REPORT_VERSION", "RUN_REPORT_KINDS",
     "attach_machine_metrics", "harvest_machine_metrics",
     "harvest_stm_metrics", "finish_run",
     "ContentionProfiler", "ProfileError", "validate_profile",
-    "RunReportDiff", "diff_run_reports",
     "HostProfileError", "validate_host_section",
     "env_fingerprint", "load_trajectory", "append_record",
     "validate_trajectory",

@@ -6,12 +6,12 @@ The sweep (:mod:`repro.harness.parallel`), the schedule fuzzer's matrix
 simulations and merge the results in *spec order*, so their reports are
 byte-identical for any worker count.  This module is that shared step.
 It imports nothing from ``repro``, so any layer can use it without an
-import cycle.
+import cycle, and it imports :mod:`multiprocessing` only when it starts
+a pool, so a serial caller never loads it.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 from typing import Callable, Iterator, Sequence, TypeVar
 
 S = TypeVar("S")
@@ -31,6 +31,8 @@ def shard_map(fn: Callable[[S], R], specs: Sequence[S],
     spec order, never completion order.
     """
     if workers >= 2 and len(specs) > 1:
+        import multiprocessing
+
         ctx = multiprocessing.get_context("spawn")
         with ctx.Pool(processes=min(workers, len(specs))) as pool:
             yield from pool.imap(fn, specs)

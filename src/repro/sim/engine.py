@@ -90,7 +90,7 @@ class Simulator:
         self._running = False
         # event-queue telemetry: plain integer bumps in at()/run() (a few
         # adds per event next to the heap ops, well under timing noise;
-        # the engine overhead guard in tests/test_obs_host.py keeps it so).
+        # tests/test_engine.py::TestOverheadGuard keeps it so).
         # None of these feed back into the simulation — simulated time and
         # event order are bit-identical whether anyone reads them or not.
         self.queue_depth_peak: int = 0

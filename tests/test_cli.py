@@ -7,8 +7,8 @@ from contextlib import redirect_stdout
 import pytest
 
 from repro.__main__ import build_parser, main
-from repro.obs import load_run_report
 from repro.obs.host import load_trajectory
+from repro.obs.report import load_run_report
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 
@@ -65,6 +65,16 @@ class TestCli:
         assert args.name == "fig9a"
         for name in ("fig9b", "fig10a", "fig11a", "fig12a", "fig13"):
             parser.parse_args(["figure", name])
+
+    def test_spelled_out_choices_match_registries(self):
+        from repro import __main__ as cli
+        from repro.apps.base import all_apps
+        from repro.harness.stm_bench import STRUCTURES
+        from repro.stm.core import ObjectSTM
+
+        assert cli._STM_VARIANTS == tuple(sorted(ObjectSTM.VARIANTS))
+        assert cli._STM_STRUCTURES == tuple(sorted(STRUCTURES))
+        assert cli._APPS == tuple(sorted(all_apps()))
 
 
 #: one tiny sweep cell, run serially (its thread count comes per test)

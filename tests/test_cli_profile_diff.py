@@ -17,7 +17,8 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 from repro.__main__ import main
-from repro.obs import load_run_report, validate_chrome_trace
+from repro.obs import validate_chrome_trace
+from repro.obs.report import load_run_report
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
 GOLDEN_FOLDED = DATA / "golden_profile.folded"

@@ -2,8 +2,13 @@
 
 import pytest
 
-from repro.obs import build_run_report, diff_run_reports
-from repro.obs.diff import DiffEntry, RunReportDiff, direction_of
+from repro.obs.diff import (
+    DiffEntry,
+    RunReportDiff,
+    diff_run_reports,
+    direction_of,
+)
+from repro.obs.report import build_run_report
 
 
 def report(results=None, counters=None, config=None, histograms=None):

@@ -15,7 +15,7 @@ from contextlib import redirect_stdout
 import pytest
 
 from repro.harness.microbench import run_microbench
-from repro.obs import MetricsRegistry, build_run_report
+from repro.obs import MetricsRegistry
 from repro.obs.fairness import (
     FairnessError,
     FairnessObservatory,
@@ -24,7 +24,11 @@ from repro.obs.fairness import (
     validate_fairness,
 )
 from repro.obs.registry import MetricError
-from repro.obs.report import ReportValidationError, validate_run_report
+from repro.obs.report import (
+    ReportValidationError,
+    build_run_report,
+    validate_run_report,
+)
 from repro.params import model_a, small_test_model
 
 pytestmark = pytest.mark.fairness

@@ -126,7 +126,7 @@ class TestEmptyHistogram:
         assert s["percentiles"] == {}
 
     def test_registry_dump_with_empty_histogram_validates(self):
-        from repro.obs import build_run_report
+        from repro.obs.report import build_run_report
 
         reg = MetricsRegistry()
         reg.histogram("h", bucket_width=8)   # never adds a sample

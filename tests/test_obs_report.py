@@ -14,14 +14,12 @@ import pathlib
 import pytest
 
 from repro.harness.microbench import run_microbench
-from repro.obs import (
-    MetricsRegistry,
+from repro.obs import MetricsRegistry, SpanTracer, validate_chrome_trace
+from repro.obs.report import (
     ReportValidationError,
-    SpanTracer,
     build_run_report,
     load_run_report,
     summarize_run_report,
-    validate_chrome_trace,
     validate_run_report,
     write_run_report,
 )

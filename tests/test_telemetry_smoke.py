@@ -7,13 +7,8 @@ import json
 import pytest
 
 from repro.harness import figures
-from repro.obs import (
-    MetricsRegistry,
-    SpanTracer,
-    build_run_report,
-    load_run_report,
-    validate_chrome_trace,
-)
+from repro.obs import MetricsRegistry, SpanTracer, validate_chrome_trace
+from repro.obs.report import build_run_report, load_run_report
 
 
 @pytest.mark.telemetry
@@ -36,7 +31,7 @@ class TestTelemetrySmoke:
              "series": result.series, "checks": result.checks},
             metrics=registry.to_dict(),
         )
-        from repro.obs import write_run_report
+        from repro.obs.report import write_run_report
 
         write_run_report(str(metrics_path), report)
         tracer.write_chrome_trace(str(trace_path))
