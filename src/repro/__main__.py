@@ -15,10 +15,9 @@ Commands:
 * ``profile``     — run the contention profiler on a microbenchmark:
   per-lock acquire-latency decomposition, queue-depth stats, critical
   path, folded-stack / Perfetto export.
-* ``diff``        — structurally diff two run reports, or two records
-  of fairness trajectories; with ``--fail-on-regression``, exit 1 when
-  a known-direction quantity moved past ``--threshold`` in the wrong
-  direction.
+* ``diff``        — structurally diff two run reports; with
+  ``--fail-on-regression``, exit 1 when a known-direction quantity
+  moved past ``--threshold`` in the wrong direction.
 * ``sweep``       — shard a microbench matrix (cells x seeds) across
   worker processes and merge the per-shard telemetry into a single
   RunReport, byte-identical to the serial run (``--verify-serial``
@@ -26,9 +25,9 @@ Commands:
 * ``fairness``    — the fairness scorecard: run the pinned
   lock x model matrix under the fairness observatory and report the
   Jain index, worst arrival-order overtake, writer share and p999
-  wait per cell; appends one record to ``BENCH_fairness.json``.
-  ``repro diff`` on two fairness trajectories gates on fairness
-  regressions (a Jain drop, a fatter overtake).
+  wait per cell; ``--metrics-out`` writes them as a ``fairness`` run
+  report, which ``repro diff`` gates like any other (a Jain drop, a
+  fatter overtake).
 
 Simulator speed is not measured here: ``python perf/run.py`` times the
 repo benchmark's workloads (``--trace`` adds per-layer host time).
@@ -141,25 +140,6 @@ def _add_matrix_flags(parser: argparse.ArgumentParser, default_locks: str,
                             help="comma-separated thread counts "
                                  f"(default: "
                                  f"{','.join(map(str, DEFAULT_THREADS))})")
-
-
-def _add_trajectory_flags(parser: argparse.ArgumentParser,
-                          default_out: str) -> None:
-    """The record-keeping flags of a verb that appends one record to a
-    bench trajectory."""
-    parser.add_argument("--out", metavar="FILE", default=default_out,
-                        help=f"trajectory file to append to "
-                             f"(default: {default_out})")
-    parser.add_argument("--label", default=None,
-                        help="record label; appending an existing label "
-                             "replaces that record (idempotent re-runs)")
-    parser.add_argument("--note", default=None,
-                        help="free-form note stored in the record")
-    parser.add_argument("--no-append", action="store_true",
-                        help="don't touch the trajectory (use with "
-                             "--json-out for throwaway runs)")
-    parser.add_argument("--json-out", metavar="FILE", default=None,
-                        help="also write this run's single record here")
 
 
 def _obs_setup(args):
@@ -441,9 +421,6 @@ def cmd_figure(args) -> int:
 
 
 def cmd_report(args) -> int:
-    from repro.obs.host import (
-        HostProfileError, is_trajectory, validate_trajectory,
-    )
     from repro.obs.report import (
         ReportValidationError, summarize_run_report, validate_run_report,
     )
@@ -454,29 +431,6 @@ def cmd_report(args) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: cannot read {args.file}: {exc}", file=sys.stderr)
         return 2
-    if is_trajectory(report):
-        try:
-            validate_trajectory(report)
-        except HostProfileError as exc:
-            print(f"invalid bench trajectory {args.file}: {exc}",
-                  file=sys.stderr)
-            return 1
-        records = report["records"]
-        print(f"bench trajectory: {len(records)} record(s)")
-        if records:
-            last = records[-1]
-            env = last.get("env", {})
-            print(f"latest record ({last.get('time_utc', '?')}"
-                  + (f", label {last['label']!r}" if last.get("label")
-                     else "")
-                  + f"): python {env.get('python', '?')} on "
-                  f"{env.get('machine', '?')}, "
-                  f"{env.get('cpu_count', '?')} CPUs")
-            from repro.obs.diff import is_fairness_record
-            if is_fairness_record(last):
-                from repro.harness.fairness_bench import scorecard_table
-                print(scorecard_table(last.get("cells", [])))
-        return 0
     try:
         validate_run_report(report)
     except ReportValidationError as exc:
@@ -485,6 +439,10 @@ def cmd_report(args) -> int:
             print(f"  - {err}", file=sys.stderr)
         return 1
     print(summarize_run_report(report))
+    if report["kind"] == "fairness":
+        from repro.harness.fairness_bench import scorecard_table
+
+        print(scorecard_table(report))
     return 0
 
 
@@ -497,7 +455,7 @@ def cmd_profile(args) -> int:
         return 2
     config = make_model(args.model)
     profiler = ContentionProfiler()
-    registry = MetricsRegistry() if args.json_out else None
+    registry = MetricsRegistry() if args.metrics_out else None
     r = run_microbench(
         config, args.lock, args.threads, args.write_pct,
         iters_per_thread=args.iters, cs_cycles=args.cs_cycles,
@@ -513,7 +471,7 @@ def cmd_profile(args) -> int:
     if args.trace_out:
         profiler.write_chrome_trace(args.trace_out)
         print(f"chrome trace: {args.trace_out}")
-    if args.json_out:
+    if args.metrics_out:
         report = build_run_report(
             "microbench",
             {
@@ -527,39 +485,13 @@ def cmd_profile(args) -> int:
             metrics=registry.to_dict(),
             profile=profiler.to_dict(top=args.top),
         )
-        write_run_report(args.json_out, report)
-        print(f"run report: {args.json_out}")
+        write_run_report(args.metrics_out, report)
+        print(f"run report: {args.metrics_out}")
     return 0
 
 
-def _record_pair(args, old_obj, new_obj):
-    """The (OLD, NEW) records ``repro diff`` compares from two
-    trajectories.  ``--record`` picks NEW.  From two files OLD takes the
-    same index; from one file it takes the record just before NEW, so
-    the default compares the last two records.  Raises
-    :class:`HostProfileError` on an invalid trajectory or index."""
-    from repro.obs.host import (
-        HostProfileError, latest_record, validate_trajectory,
-    )
-
-    validate_trajectory(old_obj)
-    validate_trajectory(new_obj)
-    new_rec = latest_record(new_obj, args.record)
-    if args.old != args.new:
-        return latest_record(old_obj, args.record), new_rec
-    records = new_obj["records"]
-    new_idx = args.record % len(records)
-    if new_idx == 0:
-        raise HostProfileError(
-            "--record selects the first record; there is no earlier "
-            "record to compare it with"
-        )
-    return records[new_idx - 1], new_rec
-
-
 def cmd_diff(args) -> int:
-    from repro.obs.diff import diff_fairness_records, diff_run_reports
-    from repro.obs.host import HostProfileError, is_trajectory
+    from repro.obs.diff import diff_run_reports
     from repro.obs.report import ReportValidationError, validate_run_report
 
     threshold = args.threshold
@@ -577,30 +509,13 @@ def cmd_diff(args) -> int:
             return 2
     old_obj, new_obj = objs
 
-    what = ""
-    if is_trajectory(old_obj) or is_trajectory(new_obj):
-        # two fairness trajectories (BENCH_fairness.json): compare
-        # scorecard records — all simulated quantities, so the default
-        # 10% gate applies without host-noise caveats
-        if not (is_trajectory(old_obj) and is_trajectory(new_obj)):
-            print("error: a trajectory diffs only against another "
-                  "trajectory", file=sys.stderr)
-            return 2
+    for path, obj in zip((args.old, args.new), objs):
         try:
-            old_rec, new_rec = _record_pair(args, old_obj, new_obj)
-        except HostProfileError as exc:
-            print(f"error: {exc}", file=sys.stderr)
+            validate_run_report(obj)
+        except ReportValidationError as exc:
+            print(f"invalid run report {path}: {exc}", file=sys.stderr)
             return 2
-        d = diff_fairness_records(old_rec, new_rec, threshold=threshold)
-        what = "fairness "
-    else:
-        for path, obj in zip((args.old, args.new), objs):
-            try:
-                validate_run_report(obj)
-            except ReportValidationError as exc:
-                print(f"invalid run report {path}: {exc}", file=sys.stderr)
-                return 2
-        d = diff_run_reports(old_obj, new_obj, threshold=threshold)
+    d = diff_run_reports(old_obj, new_obj, threshold=threshold)
     print(d.summarize(top=args.top))
     if args.json_out:
         with open(args.json_out, "w") as f:
@@ -610,7 +525,7 @@ def cmd_diff(args) -> int:
     if d.has_regressions():
         if args.fail_on_regression:
             print(
-                f"FAIL: {len(d.regressions)} {what}regression(s) beyond "
+                f"FAIL: {len(d.regressions)} regression(s) beyond "
                 f"{threshold:.0%}",
                 file=sys.stderr,
             )
@@ -622,76 +537,59 @@ def cmd_diff(args) -> int:
 
 def cmd_fairness(args) -> int:
     from repro.harness.fairness_bench import (
-        quick_matrix, run_fairness_bench, scorecard_matrix,
-        scorecard_table,
+        DEFAULT_DURATION, DEFAULT_THREADS, QUICK_DURATION, QUICK_THREADS,
+        run_fairness_bench, scorecard_config, scorecard_table,
     )
-    from repro.obs.diff import diff_fairness_records
-    from repro.obs.host import append_record, load_trajectory
+    from repro.obs.report import build_run_report, write_run_report
 
     kwargs = _matrix_kwargs(args, csv_threads=False)
     if kwargs is None:
         return 2
-    if args.quick:
-        # quick keeps the full lock x model coverage (the scorecard is
-        # the point) and shrinks each cell instead
-        specs = quick_matrix(
-            write_pct=args.write_pct, seed=args.seed, **kwargs,
-        )
-    else:
-        specs = scorecard_matrix(
-            threads=args.threads, write_pct=args.write_pct,
-            duration=args.duration, seed=args.seed, **kwargs,
-        )
+    # an explicit --threads/--duration wins over the --quick defaults;
+    # quick keeps the full lock x model coverage (the scorecard is the
+    # point) and shrinks each cell instead
+    threads = args.threads if args.threads is not None else (
+        QUICK_THREADS if args.quick else DEFAULT_THREADS)
+    duration = args.duration if args.duration is not None else (
+        QUICK_DURATION if args.quick else DEFAULT_DURATION)
+    errors = [msg for bad, msg in (
+        (threads < 1, f"--threads must be >= 1, got {threads}"),
+        (duration < 1, f"--duration must be >= 1, got {duration}"),
+        (not 0 <= args.write_pct <= 100,
+         f"--write-pct must be in [0, 100], got {args.write_pct}"),
+    ) if bad]
+    for msg in errors:
+        print(f"error: {msg}", file=sys.stderr)
+    if errors:
+        return 2
+    config = scorecard_config(
+        threads=threads, write_pct=args.write_pct, duration=duration,
+        seed=args.seed, slo=args.slo,
+        starvation_bound=args.starvation_bound, **kwargs,
+    )
 
-    print(f"fairness scorecard: {len(specs)} cell(s), "
-          f"{specs[0]['threads']} threads, "
-          f"{specs[0]['write_pct']}% writers (fixed roles), "
-          f"{specs[0]['duration']} cycles")
-    record, _sections = run_fairness_bench(
-        specs, slo=args.slo, starvation_bound=args.starvation_bound,
-        label=args.label, note=args.note,
-        progress=lambda cell: print(
-            f"  {cell['lock']:7s} model {cell['model']}: "
-            f"jain={cell['jain']:.3f} max-ot={cell['max_overtake']} "
+    print(f"fairness scorecard: "
+          f"{len(config['locks']) * len(config['models'])} cell(s), "
+          f"{threads} threads, {args.write_pct}% writers (fixed roles), "
+          f"{duration} cycles")
+    cells = run_fairness_bench(
+        config,
+        progress=lambda key, cell: print(
+            f"  {key:10s}: jain={cell['jain']:.3f} "
+            f"max-ot={cell['max_overtake']} "
             f"w-share={cell['writer_share']:.3f}"
         ),
     )
-    cells = record["cells"]
+    report = build_run_report("fairness", config, {"cells": cells})
     print()
-    print(scorecard_table(cells))
-    not_passive = [f"{c['lock']}/{c['model']}" for c in cells
-                   if not c["zero_overhead"]]
+    print(scorecard_table(report))
+    if args.metrics_out:
+        write_run_report(args.metrics_out, report)
+        print(f"run report: {args.metrics_out}")
+    not_passive = [key for key, c in cells.items() if not c["zero_overhead"]]
     if not_passive:
         print(f"WARNING: observatory changed simulated cycles in: "
               f"{', '.join(not_passive)}", file=sys.stderr)
-    if args.json_out:
-        with open(args.json_out, "w") as f:
-            json.dump(record, f, indent=1, sort_keys=True)
-            f.write("\n")
-        print(f"fairness record: {args.json_out}")
-
-    baseline = None
-    if args.fail_on_regression:
-        # gate against the latest record already in the trajectory
-        # (the one a labelled re-run would replace, or the previous run)
-        records = load_trajectory(args.out).get("records") or []
-        baseline = records[-1] if records else None
-    if args.no_append:
-        print(f"(trajectory {args.out} not touched: --no-append)")
-    else:
-        trajectory = append_record(args.out, record)
-        print(f"trajectory: {args.out} "
-              f"({len(trajectory['records'])} record(s))")
-    if args.fail_on_regression and baseline is not None:
-        d = diff_fairness_records(baseline, record,
-                                  threshold=args.threshold)
-        if d.has_regressions():
-            print(d.summarize(top=10))
-            print(f"FAIL: {len(d.regressions)} fairness regression(s) "
-                  f"beyond {args.threshold:.0%}", file=sys.stderr)
-            return 1
-        print("no fairness regressions vs previous record")
-    if not_passive:
         return 1
     return 0
 
@@ -955,27 +853,22 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument("--trace-out", metavar="FILE", default=None,
                     help="write phase spans as Chrome trace-event JSON "
                          "(Perfetto-loadable) here")
-    pf.add_argument("--json-out", metavar="FILE", default=None,
+    pf.add_argument("--metrics-out", metavar="FILE", default=None,
                     help="write a full run report (with profile section) "
                          "here")
     pf.set_defaults(fn=cmd_profile)
 
     df = sub.add_parser(
         "diff",
-        help="diff two run reports (or two fairness trajectories); "
-             "exit 1 on regression with --fail-on-regression",
+        help="diff two run reports; exit 1 on regression with "
+             "--fail-on-regression",
     )
-    df.add_argument("old", help="baseline run-report or trajectory JSON")
-    df.add_argument("new", help="candidate run-report or trajectory JSON")
+    df.add_argument("old", help="baseline run-report JSON")
+    df.add_argument("new", help="candidate run-report JSON")
     df.add_argument("--threshold", type=float, default=0.10,
                     metavar="FRACTION",
                     help="relative change below which a quantity is "
                          "'unchanged' (default 0.10)")
-    df.add_argument("--record", type=int, default=-1, metavar="N",
-                    help="which trajectory record to compare (0-based; "
-                         "negatives count from the end; default -1 = "
-                         "latest; when OLD and NEW are the same file, "
-                         "OLD takes the record before NEW)")
     df.add_argument("--fail-on-regression", action="store_true",
                     help="exit 1 if any known-direction quantity "
                          "regressed beyond the threshold")
@@ -1015,8 +908,8 @@ def build_parser() -> argparse.ArgumentParser:
         "fairness",
         help="fairness scorecard: run the pinned lock x model matrix "
              "under the fairness observatory (Jain index, worst "
-             "overtake, writer share, p999 wait) and append one record "
-             "to a trajectory (BENCH_fairness.json)",
+             "overtake, writer share, p999 wait); --metrics-out writes "
+             "a 'fairness' run report",
     )
     fr.add_argument("--quick", action="store_true",
                     help="shrink every cell (fewer threads, shorter "
@@ -1024,12 +917,12 @@ def build_parser() -> argparse.ArgumentParser:
                          "coverage — the CI smoke configuration")
     _add_matrix_flags(fr, "lcu,lcu_fb,ssb,mcs,ticket,mrsw,tatas",
                       csv_threads=False)
-    fr.add_argument("--threads", type=int, default=12,
+    fr.add_argument("--threads", type=int, default=None,
                     help="threads per cell (default 12; 8 with --quick)")
     fr.add_argument("--write-pct", type=int, default=20,
                     help="writer share of the fixed role split "
                          "(default 20%% — writer minority)")
-    fr.add_argument("--duration", type=int, default=120_000,
+    fr.add_argument("--duration", type=int, default=None,
                     help="simulated cycles per cell (default 120000; "
                          "40000 with --quick)")
     fr.add_argument("--seed", type=int, default=1)
@@ -1041,16 +934,10 @@ def build_parser() -> argparse.ArgumentParser:
                     help="watchdog alert threshold: a waiter older than "
                          "this raises a StarvationAlert (default "
                          "100000)")
-    fr.add_argument("--threshold", type=float, default=0.10,
-                    metavar="FRACTION",
-                    help="relative-change gate for "
-                         "--fail-on-regression (default 0.10)")
-    fr.add_argument("--fail-on-regression", action="store_true",
-                    help="exit 1 if any scorecard quantity regressed "
-                         "beyond --threshold vs the trajectory's "
-                         "latest record (or if the observatory "
-                         "perturbed simulated cycles)")
-    _add_trajectory_flags(fr, "BENCH_fairness.json")
+    fr.add_argument("--metrics-out", metavar="FILE", default=None,
+                    help="write the scorecard as a 'fairness' run report "
+                         "(JSON) here; gate it with `repro diff OLD NEW "
+                         "--fail-on-regression`")
     fr.set_defaults(fn=cmd_fairness)
 
     ck = sub.add_parser(

@@ -24,9 +24,9 @@ The observability layer of the reproduction (see README "Observability"):
 * :mod:`repro.obs.diff` — structural RunReport diffing with relative-
   threshold regression verdicts (``python -m repro diff``).  Not
   re-exported: import it from the submodule.
-* :mod:`repro.obs.host` — environment fingerprints and the
-  ``repro.bench-trajectory`` schema behind ``python -m repro
-  fairness``.  Simulator speed comes from ``python perf/run.py``.
+* :mod:`repro.obs.host` — environment fingerprints and the validator
+  of the ``host`` section older (v3) reports carry.  Simulator speed
+  comes from ``python perf/run.py``.
 * :mod:`repro.obs.fairness` — :class:`FairnessObservatory`: passive
   fairness/starvation observatory — arrival-vs-grant overtake ledger,
   per-thread wait histograms, sliding-window Jain/writer-share series,
@@ -45,11 +45,8 @@ from repro.obs.fairness import (
 )
 from repro.obs.host import (
     HostProfileError,
-    append_record,
     env_fingerprint,
-    load_trajectory,
     validate_host_section,
-    validate_trajectory,
 )
 from repro.obs.instrument import (
     attach_machine_metrics,
@@ -82,9 +79,7 @@ __all__ = [
     "attach_machine_metrics", "harvest_machine_metrics",
     "harvest_stm_metrics", "finish_run",
     "ContentionProfiler", "ProfileError", "validate_profile",
-    "HostProfileError", "validate_host_section",
-    "env_fingerprint", "load_trajectory", "append_record",
-    "validate_trajectory",
+    "HostProfileError", "validate_host_section", "env_fingerprint",
     "FairnessObservatory", "OvertakeLedger", "StarvationAlert",
     "FairnessError", "validate_fairness", "summarize_fairness",
 ]

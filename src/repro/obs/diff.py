@@ -19,11 +19,13 @@ Config keys are compared too — a diff between runs of *different
 experiments* is almost always user error, so config mismatches are
 listed prominently (but are not regressions).
 
-The same machinery compares two fairness-trajectory records
-(``BENCH_fairness.json``, :func:`diff_fairness_records`).  Every
-compared quantity is simulated, so two runs of the same code diff as
-unchanged.  Host time is never diffed here: ``python perf/run.py``
-measures simulator speed, end to end and (``--trace``) per layer.
+The fairness scorecard (``python -m repro fairness --metrics-out``,
+``BENCH_fairness.json``) is a RunReport like any other: its cells are
+``results.cells.<lock>/<model>.<field>`` leaves, judged by the same
+direction rules.  Every compared quantity is simulated, so two runs of
+the same code diff as unchanged.  Host time is never diffed here:
+``python perf/run.py`` measures simulator speed, end to end and
+(``--trace``) per layer.
 """
 
 from __future__ import annotations
@@ -273,12 +275,20 @@ class RunReportDiff:
         return "\n".join(lines)
 
 
-def _diff_entries(
-    old_q: Dict[str, float], new_q: Dict[str, float], threshold: float
-) -> List[DiffEntry]:
-    """Pair up two flattened quantity maps, sorted by verdict then key."""
+def diff_run_reports(
+    old: Dict[str, Any],
+    new: Dict[str, Any],
+    threshold: float = 0.10,
+) -> RunReportDiff:
+    """Compare two (already validated) RunReport dicts.
+
+    ``threshold`` is the relative change below which a quantity counts
+    as ``unchanged``; only known-direction quantities beyond it become
+    ``regression``/``improvement``.
+    """
     if threshold < 0:
         raise ValueError("threshold must be >= 0")
+    old_q, new_q = _comparable(old), _comparable(new)
     entries: List[DiffEntry] = []
     for key in sorted(set(old_q) | set(new_q)):
         if key not in new_q:
@@ -294,106 +304,10 @@ def _diff_entries(
             entries.append(DiffEntry(key, old_q[key], new_q[key],
                                      ratio, verdict, direction))
     entries.sort(key=lambda e: (VERDICTS.index(e.verdict), e.key))
-    return entries
-
-
-def diff_run_reports(
-    old: Dict[str, Any],
-    new: Dict[str, Any],
-    threshold: float = 0.10,
-) -> RunReportDiff:
-    """Compare two (already validated) RunReport dicts.
-
-    ``threshold`` is the relative change below which a quantity counts
-    as ``unchanged``; only known-direction quantities beyond it become
-    ``regression``/``improvement``.
-    """
-    entries = _diff_entries(_comparable(old), _comparable(new), threshold)
     mismatches: List[Tuple[str, Any, Any]] = []
     old_cfg = old.get("config", {})
     new_cfg = new.get("config", {})
     for k in sorted(set(old_cfg) | set(new_cfg)):
         if old_cfg.get(k) != new_cfg.get(k):
             mismatches.append((k, old_cfg.get(k), new_cfg.get(k)))
-    return RunReportDiff(entries, mismatches, threshold)
-
-
-# --------------------------------------------------------------------- #
-# fairness-trajectory diffs (`repro diff` on two BENCH_fairness files)
-
-#: per-cell scorecard quantities of a fairness-trajectory record
-#: (``BENCH_fairness.json``).  All deterministic — simulated, not host
-#: wall-clock — so two runs of the same code diff as "unchanged" and
-#: the gate never false-fails on runner noise.
-FAIRNESS_CELL_KEYS = (
-    "jain", "max_overtake", "overtakes_total", "writer_share",
-    "wait_p999", "starvation_alerts", "slo_time_in_violation",
-    "slo_violations",
-)
-
-
-def is_fairness_record(record: Any) -> bool:
-    """True when ``record`` looks like a ``repro fairness`` trajectory
-    record (its cells carry the scorecard quantities)."""
-    if not isinstance(record, dict):
-        return False
-    cells = record.get("cells")
-    return bool(cells) and all(
-        isinstance(c, dict) and "jain" in c for c in cells
-    )
-
-
-def fairness_comparable(record: Dict[str, Any]) -> Dict[str, float]:
-    """Flatten one fairness-trajectory record into dotted-path ->
-    number.  Cells are keyed by configuration (``lcu.A.t12.w20``)
-    rather than list position, so reordering or extending the matrix
-    pairs up the surviving cells; scorecard quantities live under a
-    ``fairness.`` segment so :func:`direction_of` judges them by their
-    tail (``...fairness.jain`` higher-is-better,
-    ``...fairness.max_overtake`` lower)."""
-    out: Dict[str, float] = {}
-    for cell in record.get("cells", []):
-        if not isinstance(cell, dict):
-            continue
-        prefix = f"{cell.get('lock')}.{cell.get('model')}" \
-                 f".t{cell.get('threads')}"
-        if cell.get("write_pct") is not None:
-            prefix += f".w{cell.get('write_pct')}"
-        for key in ("simulated_cycles", "total_cs", "cycles_per_cs"):
-            v = cell.get(key)
-            if isinstance(v, (int, float)) and not isinstance(v, bool):
-                out[f"{prefix}.{key}"] = v
-        for key in FAIRNESS_CELL_KEYS:
-            v = cell.get(key)
-            if isinstance(v, (int, float)) and not isinstance(v, bool):
-                out[f"{prefix}.fairness.{key}"] = v
-    return out
-
-
-def diff_fairness_records(
-    old: Dict[str, Any],
-    new: Dict[str, Any],
-    threshold: float = 0.10,
-) -> RunReportDiff:
-    """Compare two fairness-trajectory records' scorecard quantities.
-
-    Every compared quantity is simulated (deterministic), so the
-    default threshold matches the simulated-metrics gate, and a
-    fairness drop — lower Jain, a bigger worst overtake, a starved
-    writer share, a fatter p999 wait — earns a **regression** verdict
-    through the same direction machinery as ``repro diff``.  The
-    records' environment-fingerprint and label differences are
-    reported as config mismatches."""
-    from repro.obs.host import fingerprint_mismatches
-    entries = _diff_entries(
-        fairness_comparable(old), fairness_comparable(new), threshold
-    )
-    mismatches: List[Tuple[str, Any, Any]] = [
-        (f"env.{k}", o, n)
-        for k, o, n in fingerprint_mismatches(
-            old.get("env") or {}, new.get("env") or {}
-        )
-    ]
-    if old.get("label") != new.get("label"):
-        mismatches.append(("label", old.get("label"), new.get("label")))
     return RunReportDiff(entries, mismatches, threshold)

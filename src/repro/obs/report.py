@@ -1,13 +1,14 @@
 """Machine-readable run reports (the ``RunReport`` JSON schema).
 
 Every harness entry point (``microbench``, ``stm``, ``app``, ``figure``,
-``sweep``) can emit one RunReport: a single JSON object capturing what ran (kind +
-config), what came out (results: the harness result dataclass, plus
-fairness indices and latency percentiles where applicable), and what the
-telemetry layer measured (the :class:`~repro.obs.registry.MetricsRegistry`
-dump).  The schema is versioned so downstream tooling — including the
-repo's own ``BENCH_telemetry.json`` perf-trajectory baseline — can evolve
-without guessing.
+``sweep``, ``fairness``) can emit one RunReport: a single JSON object
+capturing what ran (kind + config), what came out (results: the
+harness result dataclass, plus fairness indices and latency percentiles
+where applicable), and what the telemetry layer measured (the :class:`~repro.obs.registry.MetricsRegistry`
+dump; the ``fairness`` scorecard keeps its cells under
+``results.cells``).  The schema is versioned so downstream tooling —
+including the repo's committed ``BENCH_telemetry.json`` and
+``BENCH_fairness.json`` baselines — can evolve without guessing.
 
 Top-level shape (version 4)::
 

@@ -231,7 +231,8 @@ class Simulator:
     @property
     def heap_pushes(self) -> int:
         """Events ever scheduled (``at`` count).  Each pushes one key on
-        the heap; the name is kept for trajectory comparability."""
+        the heap; the name is kept so the ``engine.heap_pushes`` counter
+        of committed run reports stays comparable."""
         return self._seq
 
     @property
@@ -248,9 +249,9 @@ class Simulator:
 
     def engine_stats(self) -> Dict[str, float]:
         """Event-queue internals as a flat dict (the ``engine`` block of
-        a bench-trajectory cell; also harvested into ``engine.*``
-        counters by :func:`repro.obs.instrument.harvest_machine_metrics`).
-        """
+        the seeded golden cells; the same quantities become ``engine.*``
+        counters and gauges in
+        :func:`repro.obs.instrument.harvest_machine_metrics`)."""
         return {
             "events_processed": self._events_processed,
             "heap_pushes": self._seq,

@@ -7,7 +7,6 @@ from contextlib import redirect_stdout
 import pytest
 
 from repro.__main__ import build_parser, main
-from repro.obs.host import load_trajectory
 from repro.obs.report import load_run_report
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -99,7 +98,7 @@ class TestMatrixFlags:
     def test_fairness_unknown_model_exit_two(self, tmp_path, capsys):
         path = tmp_path / "t.json"
         code, _ = run_cli("fairness", "--quick", "--locks", "lcu",
-                          "--models", "Z", "--out", str(path))
+                          "--models", "Z", "--metrics-out", str(path))
         assert code == 2
         assert "unknown model 'Z'" in capsys.readouterr().err
         assert not path.exists()
@@ -122,7 +121,9 @@ class TestCommittedBaselines:
 
     def test_fairness_baseline_validates_and_reports(self):
         path = str(REPO / "BENCH_fairness.json")
-        assert load_trajectory(path)["records"]
+        report = load_run_report(path)
+        assert report["kind"] == "fairness"
+        assert len(report["results"]["cells"]) == 14
         code, out = run_cli("report", path)
         assert code == 0
-        assert "bench trajectory" in out and "jain" in out
+        assert "kind=fairness" in out and "jain" in out

@@ -41,7 +41,7 @@ def make_report(tmp_path, name, **over):
     argv = ["profile", "--lock", "lcu"]
     for k, v in args.items():
         argv += [f"--{k.lstrip('-')}", v]
-    code, _, err = run_cli(*argv, "--json-out", str(path))
+    code, _, err = run_cli(*argv, "--metrics-out", str(path))
     assert code == 0, err
     return path
 
@@ -79,7 +79,7 @@ class TestProfileVerb:
         code, _, _ = run_cli(
             "profile", "--lock", "lcu", *SMALL,
             "--folded-out", str(folded), "--trace-out", str(trace),
-            "--json-out", str(rep),
+            "--metrics-out", str(rep),
         )
         assert code == 0
         for line in folded.read_text().strip().split("\n"):

@@ -464,7 +464,7 @@ class TestGaugeMergePolicies:
 
 
 # --------------------------------------------------------------------- #
-# CLI: the fairness verb and the trajectory diff gate
+# CLI: the fairness verb, its run report and the diff gate
 
 
 def _run_cli(*argv):
@@ -475,30 +475,83 @@ def _run_cli(*argv):
     return code, out.getvalue()
 
 
-class TestFairnessCli:
-    def test_fairness_verb_emits_scorecard_and_trajectory(self, tmp_path):
-        out_file = tmp_path / "BENCH_fairness.json"
-        for label in ("t0", "t1"):
-            code, out = _run_cli(
-                "fairness", "--quick", "--locks", "lcu,ssb",
-                "--models", "A", "--out", str(out_file), "--label", label,
-            )
-            assert code == 0
-        assert "jain" in out and "lcu" in out and "ssb" in out
-        doc = json.loads(out_file.read_text())
-        cells = doc["records"][-1]["cells"]
-        assert {(c["lock"], c["model"]) for c in cells} == {
-            ("lcu", "A"), ("ssb", "A"),
-        }
-        for c in cells:
-            assert c["zero_overhead"] is True
-            assert 0.0 < c["jain"] <= 1.0
+#: the smallest scorecard: one quick cell
+ONE_CELL = ("fairness", "--quick", "--locks", "lcu", "--models", "A")
 
-        # same trajectory diffed against itself: no regressions
+
+class TestFairnessCli:
+    def test_fairness_verb_emits_scorecard_and_report(self, tmp_path):
+        path = tmp_path / "fairness.json"
         code, out = _run_cli(
-            "diff", str(out_file), str(out_file), "--fail-on-regression",
+            "fairness", "--quick", "--locks", "lcu,ssb",
+            "--models", "A", "--metrics-out", str(path),
         )
         assert code == 0
+        assert "jain" in out and "lcu" in out and "ssb" in out
+        report = json.loads(path.read_text())
+        validate_run_report(report)
+        assert report["kind"] == "fairness"
+        assert report["config"] == {
+            "locks": ["lcu", "ssb"], "models": ["A"], "threads": 8,
+            "write_pct": 20, "duration": 40_000, "seed": 1, "slo": None,
+            "starvation_bound": 100_000,
+        }
+        cells = report["results"]["cells"]
+        assert set(cells) == {"lcu/A", "ssb/A"}
+        for c in cells.values():
+            assert c["zero_overhead"] is True
+            assert 0.0 < c["jain"] <= 1.0
+        # nothing host-derived enters the report
+        assert set(report) == {"schema", "version", "kind", "config",
+                               "results", "metrics"}
+        assert set(cells["lcu/A"]) == {
+            "simulated_cycles", "total_cs", "cycles_per_cs", "jain",
+            "max_overtake", "overtakes_total", "writer_share",
+            "wait_p999", "starvation_alerts", "zero_overhead",
+        }
+
+        # the report diffed against itself: no regressions; `repro
+        # report` prints the scorecard
+        code, out = _run_cli(
+            "diff", str(path), str(path), "--fail-on-regression",
+        )
+        assert code == 0
+        code, out = _run_cli("report", str(path))
+        assert code == 0
+        assert "kind=fairness" in out and "w-share" in out
+
+    def test_rerun_writes_byte_identical_report(self, tmp_path):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        for path in (a, b):
+            code, _ = _run_cli(*ONE_CELL, "--metrics-out", str(path))
+            assert code == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_no_report_without_metrics_out(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out = _run_cli(*ONE_CELL)
+        assert code == 0
+        assert "run report" not in out
+        assert list(tmp_path.iterdir()) == []
+
+    def test_slo_cells_carry_slo_pair(self, tmp_path):
+        path = tmp_path / "f.json"
+        code, _ = _run_cli(*ONE_CELL, "--slo", "200",
+                           "--metrics-out", str(path))
+        assert code == 0
+        cell = json.loads(path.read_text())["results"]["cells"]["lcu/A"]
+        assert cell["slo_violations"] > 0
+        assert cell["slo_time_in_violation"] > 0
+
+    def test_explicit_threads_and_duration_beat_quick(self, tmp_path):
+        path = tmp_path / "f.json"
+        code, out = _run_cli(*ONE_CELL, "--threads", "4",
+                             "--duration", "20000",
+                             "--metrics-out", str(path))
+        assert code == 0
+        assert "4 threads" in out and "20000 cycles" in out
+        config = json.loads(path.read_text())["config"]
+        assert (config["threads"], config["duration"]) == (4, 20_000)
 
     def test_microbench_fairness_flag(self):
         code, out = _run_cli(
@@ -512,103 +565,94 @@ class TestFairnessCli:
         code, _ = _run_cli("fairness", "--quick", "--locks", "nosuch")
         assert code == 2
 
-    def test_label_append_idempotent(self, tmp_path):
-        path = tmp_path / "t.json"
-        for label in ("ci", "ci", "other"):
-            code, _ = _run_cli(
-                "fairness", "--quick", "--locks", "lcu", "--models", "A",
-                "--out", str(path), "--label", label,
-            )
-            assert code == 0
-        records = json.loads(path.read_text())["records"]
-        assert [r.get("label") for r in records] == ["ci", "other"]
+    def test_threads_below_one_exit_two(self, capsys):
+        code, out = _run_cli(*ONE_CELL, "--threads", "0")
+        assert code == 2
+        assert "--threads must be >= 1, got 0" in capsys.readouterr().err
+        assert "jain" not in out
 
-    def test_no_append_with_json_out(self, tmp_path):
-        path = tmp_path / "t.json"
-        rec_path = tmp_path / "rec.json"
-        code, _ = _run_cli(
-            "fairness", "--quick", "--locks", "lcu", "--models", "A",
-            "--out", str(path), "--no-append", "--json-out", str(rec_path),
-        )
-        assert code == 0
-        assert not path.exists()
-        rec = json.loads(rec_path.read_text())
-        assert rec["cells"][0]["lock"] == "lcu"
+    def test_duration_below_one_exit_two(self, capsys):
+        code, _ = _run_cli(*ONE_CELL, "--duration", "0")
+        assert code == 2
+        assert "--duration must be >= 1, got 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("pct", ["-1", "150"])
+    def test_write_pct_out_of_range_exit_two(self, pct, capsys):
+        code, _ = _run_cli(*ONE_CELL, "--write-pct", pct)
+        assert code == 2
+        assert (f"--write-pct must be in [0, 100], got {pct}"
+                in capsys.readouterr().err)
 
 
-def _fairness_record(label, jain):
-    from repro.obs.host import env_fingerprint
+#: every scorecard field of a fairness report cell, and the direction
+#: ``repro diff`` judges it by
+SCORECARD_DIRECTIONS = {
+    "simulated_cycles": "lower",
+    "total_cs": "higher",
+    "cycles_per_cs": "lower",
+    "jain": "higher",
+    "max_overtake": "lower",
+    "overtakes_total": "lower",
+    "writer_share": "higher",
+    "wait_p999": "lower",
+    "starvation_alerts": "lower",
+    "slo_time_in_violation": "lower",
+    "slo_violations": "lower",
+}
 
-    cell = {"lock": "lcu", "model": "A", "threads": 4, "write_pct": 20,
-            "simulated_cycles": 1000, "cycles_per_host_sec": 1.0,
-            "engine": {}, "jain": jain}
-    return {"env": env_fingerprint(), "label": label, "cells": [cell]}
+
+def _fairness_report(jain):
+    cell = {"simulated_cycles": 1000, "total_cs": 50, "jain": jain,
+            "max_overtake": 2, "zero_overhead": True}
+    return build_run_report(
+        "fairness", {"locks": ["lcu"], "models": ["A"], "threads": 4},
+        {"cells": {"lcu/A": cell}},
+    )
 
 
-def _write_fairness_trajectory(path, *records):
-    from repro.obs.host import write_trajectory
-
-    write_trajectory(str(path), {
-        "schema": "repro.bench-trajectory", "version": 1,
-        "records": list(records),
-    })
+def _write_report(path, report):
+    path.write_text(json.dumps(report))
+    return str(path)
 
 
 class TestFairnessDiffRecords:
-    """``repro diff`` on fairness trajectories: which records it
-    compares, and what it refuses."""
+    """``repro diff`` on two fairness run reports: the same gate as
+    every other report, keyed ``results.cells.<lock>/<model>.<field>``."""
 
-    def test_record_zero_fairness_same_file_exit_two(self, tmp_path,
-                                                      capsys):
-        # --record picks NEW; from one file OLD is the record before it,
-        # and the first record has none
-        path = tmp_path / "f.json"
-        _write_fairness_trajectory(path, _fairness_record("a", 0.9),
-                                   _fairness_record("b", 0.5))
-        code, _ = _run_cli("diff", str(path), str(path), "--record", "0")
-        assert code == 2
-        assert "first record" in capsys.readouterr().err
-        code, out = _run_cli("diff", str(path), str(path),
-                             "--fail-on-regression")
+    def test_jain_drop_fails_gate(self, tmp_path, capsys):
+        old = _write_report(tmp_path / "old.json", _fairness_report(0.9))
+        new = _write_report(tmp_path / "new.json", _fairness_report(0.5))
+        code, out = _run_cli("diff", old, new, "--fail-on-regression")
         assert code == 1
-        assert "fairness.jain" in out
-        assert "fairness regression" in capsys.readouterr().err
+        assert "results.cells.lcu/A.jain: 0.9 -> 0.5" in out
+        assert "1 regression(s)" in capsys.readouterr().err
+        # the other way round it is an improvement, and passes
+        code, out = _run_cli("diff", new, old, "--fail-on-regression")
+        assert code == 0
+        assert "improvements (1)" in out
 
-    def test_record_index_selects(self, tmp_path):
-        path = tmp_path / "f.json"
-        _write_fairness_trajectory(path, _fairness_record("a", 0.9),
-                                   _fairness_record("b", 0.9),
-                                   _fairness_record("c", 0.9))
-        code, out = _run_cli("diff", str(path), str(path),
-                             "--record", "2")
-        assert code == 0
-        assert "label: 'b' -> 'c'" in out
-        code, out = _run_cli("diff", str(path), str(path),
-                             "--record", "1")
-        assert code == 0
-        assert "label: 'a' -> 'b'" in out
-        # from two files, OLD takes the same index as NEW; differing
-        # environment fingerprints are listed as config mismatches
-        other = tmp_path / "g.json"
-        x = _fairness_record("x", 0.9)
-        x["env"]["python"] = "9.9.9"
-        _write_fairness_trajectory(other, x, _fairness_record("y", 0.9))
-        code, out = _run_cli("diff", str(other), str(path),
-                             "--record", "0")
-        assert code == 0
-        assert "label: 'x' -> 'a'" in out
-        assert "env.python: '9.9.9'" in out
+    def test_scorecard_field_directions(self):
+        # the cell key must not tip any field's direction: no lock or
+        # model name may contain a direction substring
+        from repro.harness.fairness_bench import (
+            DEFAULT_LOCKS, DEFAULT_MODELS,
+        )
+        from repro.obs.diff import direction_of
+
+        for lock in DEFAULT_LOCKS:
+            for model in DEFAULT_MODELS:
+                for field, want in SCORECARD_DIRECTIONS.items():
+                    key = f"results.cells.{lock}/{model}.{field}"
+                    assert direction_of(key) == want, key
 
     def test_trajectory_against_run_report_exit_two(self, tmp_path,
                                                      capsys):
-        traj = tmp_path / "f.json"
-        _write_fairness_trajectory(traj, _fairness_record("a", 0.9))
-        rep = tmp_path / "rep.json"
-        code, _ = _run_cli(
-            "microbench", "--lock", "lcu", "--threads", "2",
-            "--iters", "3", "--metrics-out", str(rep),
-        )
-        assert code == 0
-        code, _ = _run_cli("diff", str(traj), str(rep))
+        # a record list in the pre-report scorecard format is refused,
+        # not half-compared
+        traj = _write_report(tmp_path / "f.json", {"records": [
+            {"cells": [{"lock": "lcu", "model": "A", "jain": 0.9}]},
+        ]})
+        rep = _write_report(tmp_path / "rep.json", _fairness_report(0.9))
+        code, _ = _run_cli("diff", traj, rep)
         assert code == 2
-        assert "another trajectory" in capsys.readouterr().err
+        assert "invalid run report" in capsys.readouterr().err
