@@ -572,6 +572,14 @@ class LockReservationTable:
         e = self.entry(addr)
         if e is None or e.reservation is None or e.reservation_seq != seq:
             return
+        if e.head is not None:
+            # The queue is still draining toward the reserved entry.
+            # Expiring now would let fresh requests join the tail, so a
+            # queue whose grants keep timing out past migrated threads
+            # would never drain: the timeout only reclaims a
+            # reservation its holder abandoned on a free lock.
+            self._schedule_reservation_timeout(addr, seq)
+            return
         e.reservation = None
         e.reservation_seq += 1
         self._finalize(e)

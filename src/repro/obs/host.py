@@ -11,6 +11,8 @@ shares with the report schema.
   machines are visible as such instead of silently noisy.
 * :func:`validate_host_section` — checks the ``host`` section that v3
   RunReports carry.  Nothing writes it any more.
+* :data:`HOST_FIELDS` — the fields a report of simulated quantities
+  (the ``fairness`` scorecard) must not carry.
 """
 
 from __future__ import annotations
@@ -69,6 +71,18 @@ def validate_host_section(host: Any) -> None:
         errors.append("host.engine must be an object")
     if errors:
         raise HostProfileError("; ".join(errors))
+
+
+# ---------------------------------------------------------------------- #
+# host-derived fields
+
+#: Fields whose value depends on the host that ran the simulation.  A
+#: report of simulated quantities carries none of them: two runs of the
+#: same code stay byte-identical, and ``repro diff`` never gates host
+#: noise as a regression.
+HOST_FIELDS = frozenset(
+    ("env", "time_utc", "host_seconds", "cycles_per_host_sec", "engine")
+)
 
 
 # ---------------------------------------------------------------------- #

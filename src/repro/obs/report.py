@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 RUN_REPORT_SCHEMA = "repro.run-report"
 RUN_REPORT_VERSION = 4
@@ -142,6 +142,10 @@ def validate_run_report(report: Any) -> None:
     for section in ("config", "results"):
         if not isinstance(report.get(section), dict):
             err(f"{section!r} must be an object")
+    if report.get("kind") == "fairness" and isinstance(
+        report.get("results"), dict
+    ):
+        _check_scorecard_cells(report["results"], err)
 
     metrics = report.get("metrics")
     if not isinstance(metrics, dict):
@@ -221,6 +225,28 @@ def validate_run_report(report: Any) -> None:
 
     if errors:
         raise ReportValidationError(errors)
+
+
+def _check_scorecard_cells(
+    results: Dict[str, Any], err: Callable[[str], None]
+) -> None:
+    """A ``fairness`` report's ``results.cells``: one object of simulated
+    numbers per ``"<lock>/<model>"``, with no host-derived field."""
+    from repro.obs.host import HOST_FIELDS
+
+    cells = results.get("cells")
+    if not isinstance(cells, dict):
+        err("fairness results.cells must be an object")
+        return
+    for key, cell in cells.items():
+        if not isinstance(cell, dict):
+            err(f"results.cells[{key!r}] must be an object")
+            continue
+        for name, v in cell.items():
+            if name in HOST_FIELDS:
+                err(f"results.cells[{key!r}].{name} is host-derived")
+            elif not isinstance(v, _NUMBER):
+                err(f"results.cells[{key!r}].{name} must be a number")
 
 
 def write_run_report(path: str, report: Dict[str, Any]) -> None:

@@ -277,6 +277,62 @@ class TestReservation:
         drain_and_check(mm)
 
 
+    def test_reservation_outlives_a_draining_queue(self):
+        """The reservation must not time out while the queue ahead of
+        the nonblocking requestor is still draining: a later ordinary
+        request is refused, not enqueued ahead of it."""
+        mm = Machine(small_test_model(
+            lcu_ordinary_entries=2, lrt_reservation_timeout=2_000,
+        ))
+        os_ = OS(mm)
+        hot = mm.alloc.alloc_line()
+        extra = [mm.alloc.alloc_line() for _ in range(2)]
+        order = []
+        release_blockers = []
+
+        def holder(thread):
+            yield from api.lock(hot, True)
+            yield ops.Compute(10_000)     # far past the reservation timeout
+            yield from api.unlock(hot, True)
+
+        def blocker(thread):
+            for a in extra:
+                yield from api.lock(a, True)
+            while not release_blockers:
+                yield ops.Compute(500)
+            for a in reversed(extra):
+                yield from api.unlock(a, True)
+
+        def starved(thread):
+            yield ops.Compute(400)  # blocker holds the extra locks now
+            for a in extra:         # pin this core's ordinary entries
+                yield ops.LcuAcq(a, True)
+            ok = yield ops.LcuAcq(hot, True)   # nonblocking: reserves
+            assert not ok
+            yield ops.Compute(4_000)
+            yield from api.lock(hot, True)
+            order.append("starved")
+            yield from api.unlock(hot, True)
+            release_blockers.append(True)
+
+        def late_comer(thread):
+            yield ops.Compute(3_500)   # after the timeout, lock still held
+            yield from api.lock(hot, True)
+            order.append("late")
+            yield from api.unlock(hot, True)
+
+        os_.spawn(holder)
+        os_.spawn(blocker)
+        os_.spawn(starved)
+        os_.spawn(late_comer)
+        os_.run_all(max_cycles=100_000_000)
+        assert order == ["starved", "late"]
+        lrt = mm.lrts[mm.mem.home_of(hot)]
+        assert lrt.stats["reservations"] >= 1
+        mm.drain()
+        drain_and_check(mm)
+
+
 class TestLrtOverflow:
     def test_spill_and_refill(self):
         """More simultaneously-held locks than one LRT set holds: entries

@@ -40,7 +40,13 @@ def workload(draw):
     )
 
 
-def run_lcu_workload(p):
+# Cycle cap of one drawn LCU workload.  Correct draws finish in well
+# under 200k cycles; a livelock fails within seconds instead of running
+# for an hour of host time.
+_LCU_MAX_CYCLES = 20_000_000
+
+
+def run_lcu_workload(p, max_cycles=_LCU_MAX_CYCLES):
     cfg = small_test_model(lcu_grant_timeout=p["grant_timeout"])
     m = Machine(cfg)
     os_ = OS(m, quantum=p["quantum"])
@@ -75,7 +81,7 @@ def run_lcu_workload(p):
 
     for i in range(p["nthreads"]):
         os_.spawn(factory(i))
-    os_.run_all(max_cycles=1_000_000_000)
+    os_.run_all(max_cycles=max_cycles)
     monitor.detach()
     return m, trackers, completed[0]
 
@@ -102,6 +108,25 @@ class TestLcuProperties:
         m, trackers, _ = run_lcu_workload(p)
         for t in trackers.values():
             assert t.readers == 0 and t.writers == 0
+
+
+def test_migration_reservation_livelock_finishes():
+    """A draw that used to livelock: nine writers on four cores with a
+    short quantum migrate so often that the Head token keeps timing out
+    past nodes whose thread runs elsewhere.  Entry exhaustion sends the
+    migrated threads to the nonblocking path, and the reservation meant
+    to drain the queue for them used to expire mid-drain, letting fresh
+    requests rejoin the tail; the run never finished.  Held until the
+    queue drains, the reservation lets the run complete quickly."""
+    p = {"seed": 3508, "nthreads": 9, "nlocks": 1, "iters": 12,
+         "write_ratio": 1.0, "quantum": 1_500, "grant_timeout": 500,
+         "use_trylock": False}
+    m, trackers, completed = run_lcu_workload(p, max_cycles=500_000)
+    for t in trackers.values():
+        t.assert_clean()
+    assert completed == p["nthreads"]
+    assert sum(lrt.stats["reservations"] for lrt in m.lrts) > 0
+    drain_and_check(m)
 
 
 class TestSoftwareLockProperties:
