@@ -173,6 +173,10 @@ def _lcu_entry_at(machine, addr: int, who) -> Optional[object]:
     return machine.lcus[who.lcu].entry(who.tid, addr)
 
 
+def _carries_token(e) -> bool:
+    return e.head and e.status in (RCV, ACQ) and not e.overflow
+
+
 def audit_lcu_queues(machine, strict: bool = False) -> List[str]:
     """Walk every LCU/LRT structure and return a list of problems.
 
@@ -180,22 +184,33 @@ def audit_lcu_queues(machine, strict: bool = False) -> List[str]:
     boundary (cycle freedom, head-token uniqueness, hardware-level
     exclusion, counter sanity); strict mode additionally requires full
     quiescence — no LCU entries and no live LRT locks at all.
+
+    The live monitor runs this every few dozen events while only a
+    handful of units hold state, so empty units are skipped, and the
+    lists a problem's message names are built only once it is found.
     """
     problems: List[str] = []
 
     # Index all entries by address for the per-address checks.
     by_addr: Dict[int, List[tuple]] = {}
+    total_entries = 0
     for lcu in machine.lcus:
-        for (addr, tid), e in lcu._entries.items():
-            by_addr.setdefault(addr, []).append((lcu.lcu_id, tid, e))
+        entries = lcu._entries
+        if not entries:
+            continue
+        total_entries += len(entries)
+        lcu_id = lcu.lcu_id
+        for (addr, tid), e in entries.items():
+            by_addr.setdefault(addr, []).append((lcu_id, tid, e))
 
-    total_entries = sum(len(nodes) for nodes in by_addr.values())
     if strict and total_entries:
         problems.append(f"{total_entries} LCU entr(ies) leaked")
 
     for addr, nodes in sorted(by_addr.items()):
         # queue links: following ``next`` must terminate without revisits
         for lcu_id, tid, e in nodes:
+            if e.next is None:
+                continue
             seen = {(lcu_id, tid)}
             cur = e
             while cur is not None and cur.next is not None:
@@ -218,33 +233,33 @@ def audit_lcu_queues(machine, strict: bool = False) -> List[str]:
         # head token: at most one live holder per address.  Overflow-mode
         # entries are excluded: they are LRT-accounted holders outside
         # the queue (nonblocking read grants, and readers converted by a
-        # hardened-mode QueueReset), not token carriers.
-        heads = [
-            (lcu_id, tid)
-            for lcu_id, tid, e in nodes
-            if e.head and e.status in (RCV, ACQ) and not e.overflow
-        ]
-        if len(heads) > 1:
+        # hardened-mode QueueReset), not token carriers.  Then the
+        # hardware-level exclusion shadow: a writer holds alone.
+        heads = holders = writers = 0
+        for _lcu_id, _tid, e in nodes:
+            if _carries_token(e):
+                heads += 1
+            if e.status == ACQ:
+                holders += 1
+                if e.write:
+                    writers += 1
+        if heads > 1:
             problems.append(
-                f"multiple head-token holders on {addr:#x}: {heads}"
+                f"multiple head-token holders on {addr:#x}: "
+                f"{[(l, t) for l, t, e in nodes if _carries_token(e)]}"
             )
-
-        # hardware-level exclusion shadow + writer-holds-token
-        holders = [(lcu_id, tid, e) for lcu_id, tid, e in nodes
-                   if e.status == ACQ]
-        write_holders = [h for h in holders if h[2].write]
-        if write_holders and len(holders) > 1:
+        if writers and holders > 1:
             problems.append(
                 f"writer shares {addr:#x} with other holders: "
-                f"{[(l, t) for l, t, _ in holders]}"
+                f"{[(l, t) for l, t, e in nodes if e.status == ACQ]}"
             )
-        for lcu_id, tid, e in write_holders:
-            if not e.head:
+        for lcu_id, tid, e in nodes:
+            # a writer in ACQ carries the head token
+            if e.status == ACQ and e.write and not e.head:
                 problems.append(
                     f"writer ACQ without head token on {addr:#x} "
                     f"(LCU{lcu_id}/tid{tid})"
                 )
-
         # orphans: a waiting node's lock must be known to its home LRT
         for lcu_id, tid, e in nodes:
             if e.status == WAIT:
@@ -263,12 +278,15 @@ def audit_lcu_queues(machine, strict: bool = False) -> List[str]:
         for lcu in machine.lcus:
             parked.update(lcu._flt.keys())
 
-    # LRT-side counter sanity (and strict-mode occupancy)
+    # LRT-side counter sanity (and strict-mode occupancy); ``_live``
+    # counts an LRT's entries, in its sets and its overflow alike
     for lrt in machine.lrts:
+        if not lrt._live:
+            continue
         if strict:
             stray = [
                 addr
-                for entries in list(lrt._sets.values()) + [lrt._overflow]
+                for entries in (*lrt._sets.values(), lrt._overflow)
                 for addr in entries
                 if addr not in parked
             ]
@@ -277,15 +295,20 @@ def audit_lcu_queues(machine, strict: bool = False) -> List[str]:
                     f"LRT{lrt.lrt_id} still holds {len(stray)} live "
                     f"lock(s): {[hex(a) for a in stray[:8]]}"
                 )
-        for entries in list(lrt._sets.values()) + [lrt._overflow]:
-            for e in entries.values():
-                if e.reader_cnt < 0:
-                    problems.append(f"negative reader_cnt: {e!r}")
-                if e.writers_waiting < 0:
-                    problems.append(f"negative writers_waiting: {e!r}")
-                if (e.head is None) != (e.tail is None):
-                    problems.append(f"half-empty queue pointers: {e!r}")
+        for entries in lrt._sets.values():
+            _audit_lrt_entries(entries, problems)
+        _audit_lrt_entries(lrt._overflow, problems)
     return problems
+
+
+def _audit_lrt_entries(entries, problems: List[str]) -> None:
+    for e in entries.values():
+        if e.reader_cnt < 0:
+            problems.append(f"negative reader_cnt: {e!r}")
+        if e.writers_waiting < 0:
+            problems.append(f"negative writers_waiting: {e!r}")
+        if (e.head is None) != (e.tail is None):
+            problems.append(f"half-empty queue pointers: {e!r}")
 
 
 def check_quiescent(machine, max_cycles: int = 200_000) -> None:

@@ -150,23 +150,29 @@ class Machine:
         self._heartbeats_on = True
         for lrt in self.lrts:
             lrt.enable_failure_detector(interval)
+        lrts = tuple(("lrt", j) for j in range(self.config.num_lrts))
         for core in range(self.config.cores):
-            self.sim.at(
-                self.sim.now + 1 + core,
-                lambda c=core: self._heartbeat_tick(c, interval),
-            )
+            self.sim.at(self.sim.now + 1 + core,
+                        self._heartbeat(core, interval, lrts))
 
-    def _heartbeat_tick(self, core: int, interval: int) -> None:
-        if self.lcus[core].dead:
-            # a dead core stops beating; restart_core re-arms below
-            self.sim.after(interval, lambda: self._heartbeat_tick(
-                core, interval))
-            return
-        for j in range(self.config.num_lrts):
-            self.net.send(("core", core), ("lrt", j),
-                          lcu_msgs.Heartbeat(core=core))
-        self.sim.after(interval, lambda: self._heartbeat_tick(
-            core, interval))
+    def _heartbeat(self, core: int, interval: int, lrts: tuple):
+        """Core ``core``'s heartbeat tick.  A beat carries only the core
+        number, so one ``Heartbeat`` serves every tick and every LRT."""
+        src = ("core", core)
+        beat = lcu_msgs.Heartbeat(core=core)
+        lcu = self.lcus[core]
+        net = self.net
+        sim = self.sim
+
+        def tick() -> None:
+            # a dead core stops beating; restart_core revives the same
+            # LCU, so the next tick beats again
+            if not lcu.dead:
+                for dst in lrts:
+                    net.send(src, dst, beat)
+            sim.after(interval, tick)
+
+        return tick
 
     # ------------------------------------------------------------------ #
     # crash-stop faults (repro.faults crash_core / restart_core)

@@ -21,12 +21,28 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.faults.plan import MESSAGE_CLASSES, FaultEvent, FaultPlan
 from repro.net.reliable import ReliableLayer
 
 Endpoint = Tuple[str, int]
+
+
+class LinkFaults(NamedTuple):
+    """The plan's wire events that can touch one (src, dst) link, in
+    plan order: the fault filter draws from the injector's RNG event by
+    event, so keeping plan order keeps the draw sequence.  Only the time
+    window is left to check per frame."""
+
+    #: partition windows whose link set and direction cut this link
+    partitions: Tuple[FaultEvent, ...]
+    #: drop/dup/delay windows whose link set includes this link
+    messages: Tuple[FaultEvent, ...]
+
+
+#: what every link meets once the plan's last wire window has closed
+_NO_FAULTS = LinkFaults((), ())
 
 #: bound on point-eviction victims per event (keeps plans comparable
 #: across machine sizes; logged in stats, so never a silent cap)
@@ -101,8 +117,18 @@ class FaultInjector:
         self._partition_events: List[FaultEvent] = [
             e for e in plan.events if e.kind == "partition_links"
         ]
-        #: core -> blackhole end cycle for an in-progress zombie window
-        self._zombie_until: Dict[int, int] = {}
+        #: (src, dst) -> its LinkFaults, resolved on the link's first
+        #: frame (see :meth:`link_faults`)
+        self._links: Dict[Tuple[Endpoint, Endpoint], LinkFaults] = {}
+        #: the cycle the plan's last message or partition window closes;
+        #: from then on only a zombie window can touch a frame
+        self._wire_end = max(
+            (e.end for e in self._msg_events + self._partition_events),
+            default=0,
+        )
+        #: ("core", i) -> blackhole end cycle of core i's in-progress
+        #: zombie window
+        self._zombie_until: Dict[Endpoint, int] = {}
         # a zombie can land on any core (victim polling decides), so
         # its plan must cover every protocol link with the reliable
         # layer up front — coverage is fixed at arm time
@@ -147,6 +173,9 @@ class FaultInjector:
                    lambda e=event: self._fire(e))
 
     def _link_covered(self, src: Endpoint, dst: Endpoint) -> bool:
+        """The reliable layer's link predicate: does any wire event of
+        the plan (a partition in either direction) reach this link?  It
+        depends on the pair alone, so the layer asks once per pair."""
         if self._covers_all:
             return True
         return any(
@@ -187,34 +216,48 @@ class FaultInjector:
             return chip_s < chip_d
         return src < dst
 
+    def link_faults(self, src: Endpoint, dst: Endpoint) -> LinkFaults:
+        """The plan events that can fault frames on ``src -> dst``.  The
+        plan is fixed once armed, so each link is resolved on first use
+        and the answer kept."""
+        key = (src, dst)
+        faults = self._links.get(key)
+        if faults is None:
+            faults = self._links[key] = LinkFaults(
+                tuple(e for e in self._partition_events
+                      if self._partition_match(e, src, dst)),
+                tuple(e for e in self._msg_events
+                      if self._link_match(e.links, src, dst)),
+            )
+        return faults
+
     # ------------------------------------------------------------------ #
     # wire fault filter (frames only)
 
     def _fault_filter(
         self, src: Endpoint, dst: Endpoint, payload: Any
     ) -> Iterable[Tuple[int, Any]]:
-        if self.reliable is None or not self.reliable.intercepts(payload):
+        if not ReliableLayer.intercepts(payload):
             return [(0, payload)]
         now = self.machine.sim.now
+        faults = (
+            _NO_FAULTS if now >= self._wire_end
+            else self.link_faults(src, dst)
+        )
         # blackholes first: a partitioned or zombied link loses every
         # frame outright (the reliable layer's retransmissions are what
         # carry the traffic across the heal)
-        for e in self._partition_events:
-            if e.at <= now < e.end and self._partition_match(e, src, dst):
-                if self._roll(e.prob, "partition_links"):
-                    return []
-        if self._zombie_until:
-            for core, end in self._zombie_until.items():
-                if now < end and (
-                    src == ("core", core) or dst == ("core", core)
-                ):
-                    self._count("zombie_blackhole")
-                    return []
+        for e in faults.partitions:
+            if e.at <= now < e.end and self._roll(e.prob, "partition_links"):
+                return []
+        zombies = self._zombie_until
+        if zombies and (now < zombies.get(src, now)
+                        or now < zombies.get(dst, now)):
+            self._count("zombie_blackhole")
+            return []
         copies: List[Tuple[int, Any]] = [(0, payload)]
-        for e in self._msg_events:
+        for e in faults.messages:
             if not (e.at <= now < e.end):
-                continue
-            if not self._link_match(e.links, src, dst):
                 continue
             if e.kind == "drop":
                 copies = [
@@ -327,13 +370,14 @@ class FaultInjector:
         Both effects heal at the same instant — the zombie resumes."""
         end = self.machine.sim.now + max(1, duration)
         self.os.stall_core(core, max(1, duration))
-        self._zombie_until[core] = end
+        self._zombie_until[("core", core)] = end
         self._count("zombie_core")
         self.machine.sim.at(end, lambda: self._end_zombie(core, end))
 
     def _end_zombie(self, core: int, end: int) -> None:
-        if self._zombie_until.get(core) == end:
-            del self._zombie_until[core]
+        ep = ("core", core)
+        if self._zombie_until.get(ep) == end:
+            del self._zombie_until[ep]
             # the resume is itself an injection instant: the liveness
             # clock restarts here, charging post-resume waits to
             # recovery rather than to the whole stall

@@ -416,7 +416,7 @@ class Network:
         tr.hops = ()
         self._transit_pool.append(tr)
         if self._reliable is not None and self._reliable.intercepts(payload):
-            self._reliable.on_wire(src, dst, payload)
+            self._reliable.on_wire(src, dst, payload, on_deliver)
             return
         self._handlers[dst](src, payload)
         if on_deliver is not None:

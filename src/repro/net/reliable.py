@@ -25,7 +25,9 @@ and simulate bit-identically to a build without it.
 ``on_deliver`` callbacks (receiver-side continuations the memory system
 relies on) are looked up from the sender's pending table at first
 in-order delivery, so they run exactly once even when the wire delivers
-five copies of the frame.
+five copies of the frame.  A datagram has no pending entry, so its
+continuation travels with it and disarms itself on the first copy that
+arrives.
 """
 
 from __future__ import annotations
@@ -100,6 +102,23 @@ _DATAGRAM_TYPES = frozenset((lcu_msgs.Heartbeat,))
 _WIRE_TYPES = frozenset((Frame, AckFrame, Datagram))
 
 
+class _Once:
+    """A datagram's ``on_deliver``: a duplicated datagram reaches the
+    receiver more than once, but the continuation runs on the first
+    arrival only, as a frame's does."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn: Callable[[], None]) -> None:
+        self.fn: Optional[Callable[[], None]] = fn
+
+    def __call__(self) -> None:
+        fn = self.fn
+        if fn is not None:
+            self.fn = None
+            fn()
+
+
 class _Pending:
     __slots__ = ("payload", "on_deliver", "attempt", "delivered")
 
@@ -117,7 +136,9 @@ class ReliableLayer:
     simulation is a single process, so sender and receiver state share
     the object).  ``covers(src, dst, payload)`` decides which traffic is
     wrapped: the link predicate passed at construction gates on the
-    endpoint pair, and only LCU/LRT protocol messages are wrapped at all
+    endpoint pair (it must depend on the pair alone: its answer is kept
+    per pair after the first ask), and only LCU/LRT protocol messages
+    are wrapped at all
     — coherence fills and SSB replies resume blocked thread generators
     from their ``on_deliver`` callback, which a retransmitted frame must
     never run twice, and the fault filter never touches them either.  The
@@ -137,6 +158,8 @@ class ReliableLayer:
         self._rto_base = rto_base
         self._rto_cap = rto_cap
         self._net = None  # set by attach()
+        #: (src, dst) -> the link predicate's answer for that pair
+        self._covered: Dict[Pair, bool] = {}
 
         self._send_seq: Dict[Pair, int] = {}
         self._pending: Dict[Pair, Dict[int, _Pending]] = {}
@@ -167,11 +190,15 @@ class ReliableLayer:
             self._net = None
 
     def covers(self, src: Endpoint, dst: Endpoint, payload: Any) -> bool:
-        return (
-            src != dst
-            and payload.__class__ in _PROTOCOL_MESSAGE_TYPES
-            and self._covers(src, dst)
-        )
+        if payload.__class__ not in _PROTOCOL_MESSAGE_TYPES:
+            return False
+        pair = (src, dst)
+        covered = self._covered.get(pair)
+        if covered is None:
+            covered = self._covered[pair] = (
+                src != dst and self._covers(src, dst)
+            )
+        return covered
 
     @staticmethod
     def intercepts(payload: Any) -> bool:
@@ -234,7 +261,10 @@ class ReliableLayer:
             # entry, no ack, no retransmission.  Still injected below
             # the fault filter so blackholes and drops starve it.
             self.datagrams_sent += 1
-            self._net._inject(src, dst, Datagram(payload), on_deliver)
+            self._net._inject(
+                src, dst, Datagram(payload),
+                None if on_deliver is None else _Once(on_deliver),
+            )
             return
         pair = (src, dst)
         seq = self._send_seq.get(pair, 0)
@@ -266,9 +296,20 @@ class ReliableLayer:
     # ------------------------------------------------------------------ #
     # receiver side (called from Network._deliver)
 
-    def on_wire(self, src: Endpoint, dst: Endpoint, payload: Any) -> None:
+    def on_wire(
+        self,
+        src: Endpoint,
+        dst: Endpoint,
+        payload: Any,
+        on_deliver: Optional[Callable[[], None]],
+    ) -> None:
+        """One wire envelope arrives.  ``on_deliver`` is the sender's
+        continuation riding a :class:`Datagram`; frames and acks carry
+        none (a frame's waits in the pending table)."""
         if isinstance(payload, Datagram):
             self._net._handlers[dst](src, payload.payload)
+            if on_deliver is not None:
+                on_deliver()
             return
         if isinstance(payload, AckFrame):
             # ack for the reverse direction: dst originally sent to src

@@ -8,13 +8,17 @@ from repro.cpu.os_sched import OS
 from repro.faults.injector import FaultInjector, FaultOutcome
 from repro.faults.plan import (
     ALL_CLASSES,
+    DIRECTIONS,
     LINK_SETS,
+    MESSAGE_CLASSES,
     FaultEvent,
     FaultPlan,
     generate_plan,
 )
+from repro.lcu.messages import Dealloc, Heartbeat
 from repro.lcu.recovery import RecoveringLCU, RecoveringLRT
-from repro.params import small_test_model
+from repro.obs import SpanTracer
+from repro.params import make_model, small_test_model
 
 pytestmark = pytest.mark.faults
 
@@ -149,6 +153,34 @@ class TestInjector:
             lcu._forced_capacity is None for lcu in machine.lcus
         ), "window closed: capacity restored"
 
+    def test_every_delivered_heartbeat_closes_its_span(self):
+        # heartbeats ride the reliable layer as datagrams; the network's
+        # send continuation (here a SpanTracer's end) must run when one
+        # arrives, as it does for frames and raw messages
+        machine, os_ = self._machine()
+        tracer = SpanTracer().attach(machine)
+        arrivals = []
+        for ep in [ep for ep in machine.net._handlers if ep[0] == "lrt"]:
+            handler = machine.net._handlers[ep]
+
+            def counting(src, payload, handler=handler):
+                if payload.__class__ is Heartbeat:
+                    arrivals.append(src)
+                handler(src, payload)
+
+            machine.net._handlers[ep] = counting
+        plan = FaultPlan(seed=5, events=(
+            FaultEvent(kind="drop", at=0, duration=40_000, prob=0.3),
+        ))
+        inj = FaultInjector(machine, os_, plan)
+        inj.arm()
+        machine.sim.run(until=40_000)
+        closed = [s for s in tracer.spans if s.name == "Heartbeat"]
+        assert inj.stats["drop"] > 0, "the window must drop some beats"
+        assert arrivals, "no heartbeat arrived"
+        assert len(closed) == len(arrivals)
+        assert all(s.end >= s.start for s in closed)
+
     def test_classify_taxonomy(self):
         machine, os_ = self._machine()
         plan = generate_plan(seed=2, classes=["evict"], horizon=10_000)
@@ -161,3 +193,54 @@ class TestInjector:
         bad = inj.classify(violation="rw_exclusion: two writers")
         assert [o.outcome for o in bad] == ["violated"]
         assert "two writers" in bad[0].detail
+
+
+class TestLinkResolution:
+    """The wire facts of a link are resolved once, on its first use: the
+    reliable layer keeps the covered flag per pair and the injector the
+    plan events that can fault the link.  Both must answer exactly as
+    the direct predicates do, for every pair of registered endpoints."""
+
+    @pytest.mark.parametrize("model", ["A", "B"])
+    @pytest.mark.parametrize("direction", DIRECTIONS)
+    @pytest.mark.parametrize("links", LINK_SETS)
+    def test_cached_answers_match_the_predicates(self, model, links,
+                                                 direction):
+        machine = Machine(make_model(model), tiebreak_seed=1)
+        # a drop window on another link set, so coverage is a union
+        other = LINK_SETS[(LINK_SETS.index(links) + 1) % len(LINK_SETS)]
+        plan = FaultPlan(seed=3, events=(
+            FaultEvent(kind="partition_links", at=100, duration=500,
+                       prob=1.0, links=links, direction=direction),
+            FaultEvent(kind="drop", at=50, duration=500, prob=0.2,
+                       links=other),
+        ))
+        inj = FaultInjector(machine, OS(machine), plan)
+        inj.arm()
+        m = Dealloc(0x100, 1)
+        endpoints = list(machine.net._handlers)
+        cut = set()
+        for src in endpoints:
+            for dst in endpoints:
+                covered = src != dst and inj._link_covered(src, dst)
+                # the first ask resolves the pair, the second reads it back
+                assert inj.reliable.covers(src, dst, m) is covered
+                assert inj.reliable.covers(src, dst, m) is covered
+                faults = inj.link_faults(src, dst)
+                assert faults == inj.link_faults(src, dst)
+                assert faults.partitions == tuple(
+                    e for e in plan.events if e.kind == "partition_links"
+                    and inj._partition_match(e, src, dst)
+                )
+                assert faults.messages == tuple(
+                    e for e in plan.events if e.kind in MESSAGE_CLASSES
+                    and inj._link_match(e.links, src, dst)
+                )
+                if faults.partitions:
+                    cut.add((src, dst))
+        assert cut, "the partition cuts no link"
+        one_way = [(s, d) for s, d in cut if (d, s) not in cut]
+        if direction == "both":
+            assert not one_way
+        else:
+            assert one_way, f"a {direction!r} cut must be asymmetric"

@@ -1,12 +1,14 @@
 """Unit tests for the reliable-delivery layer (frames, acks, RTO)."""
 
 import random
+import types
 
 import pytest
 
-from repro.lcu.messages import Dealloc, QueueProbe
+from repro.lcu.messages import Dealloc, Heartbeat, QueueProbe
 from repro.net.network import Network
-from repro.net.reliable import AckFrame, Frame, ReliableLayer
+from repro.net.reliable import AckFrame, Datagram, Frame, ReliableLayer
+from repro.obs import SpanTracer
 from repro.params import small_test_model
 from repro.sim.engine import Simulator
 
@@ -171,6 +173,29 @@ class TestLossRecovery:
                  on_deliver=lambda: cb.append(1))
         sim.run()
         assert cb == [1]
+
+    def test_datagram_on_deliver_runs_once_despite_dups(self):
+        # a datagram has no pending entry: its continuation travels with
+        # it, runs after the handler, and a duplicated copy must not run
+        # it again (a SpanTracer's end() would raise on the second call)
+        sim, net = make_net()
+        layer = make_reliable(sim, net)
+        tracer = SpanTracer().attach(types.SimpleNamespace(sim=sim))
+        got, cb = [], []
+        net.register(CORE0, lambda s, p: None)
+        net.register(CORE1, lambda s, p: got.append(p))
+        net.fault_filter = lambda s, d, p: (
+            [(0, p), (3, p), (9, p)] if isinstance(p, Datagram)
+            else [(0, p)]
+        )
+        beat = Heartbeat(core=0)
+        net.send(CORE0, CORE1, beat, on_deliver=lambda: cb.append(got[:]))
+        sim.run()
+        assert got == [beat, beat, beat], "datagrams are not deduplicated"
+        assert cb == [[beat]], "continuation runs once, after the handler"
+        assert layer.datagrams_sent == 1
+        assert [s.name for s in tracer.spans] == ["Heartbeat"]
+        assert tracer.open_count == 0
 
 
 class TestBackoff:
