@@ -8,7 +8,7 @@ calls out).  The LCU's distributed FIFO queue guarantees every writer is
 serviced — while still letting consecutive readers share.
 
 The measurement side is the :class:`repro.obs.FairnessObservatory`: it
-rides the lock's observer events, so the demo gets the overtake ledger
+rides the lock events on the probe bus, so the demo gets the overtake ledger
 (who overtook whom, by mode), per-mode wait percentiles, the writer
 share and the starvation watchdog for free — and, being passive, it
 leaves the simulated cycle counts untouched.
@@ -31,7 +31,6 @@ def run(lock_name: str, readers: int, writers: int, duration: int,
 
     obs = FairnessObservatory(starvation_bound=starvation_bound)
     obs.attach_machine(machine)
-    obs.attach_algorithm(algo)
 
     def worker(write):
         def body(thread):

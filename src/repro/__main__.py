@@ -391,7 +391,7 @@ def cmd_figure(args) -> int:
     if fairness is not None:
         if args.name not in _PROFILABLE_FIGURES:
             print(f"error: --fairness supports only "
-                  f"{sorted(_PROFILABLE_FIGURES)} (lock observer "
+                  f"{sorted(_PROFILABLE_FIGURES)} (lock-topic "
                   f"events); {args.name} is an STM/app figure",
                   file=sys.stderr)
             return 2
@@ -630,9 +630,9 @@ def cmd_sweep(args) -> int:
                   file=sys.stderr)
             return 1
         print("verified: parallel report byte-identical to serial run")
-    if args.out:
-        write_run_report(args.out, report)
-        print(f"sweep report: {args.out}")
+    if args.metrics_out:
+        write_run_report(args.metrics_out, report)
+        print(f"sweep report: {args.metrics_out}")
     res = report["results"]
     print(f"merged: {res['shard_count']} shard(s), "
           f"{res['total_cs']} critical sections")
@@ -900,7 +900,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="re-run the sweep serially and fail unless the "
                          "merged reports are byte-identical (the CI "
                          "smoke gate)")
-    sw.add_argument("--out", metavar="FILE", default=None,
+    sw.add_argument("--metrics-out", metavar="FILE", default=None,
                     help="write the merged RunReport JSON here")
     sw.set_defaults(fn=cmd_sweep)
 

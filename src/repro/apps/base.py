@@ -118,7 +118,6 @@ def run_app(
         run_fairness = fairness if run_idx == 0 else None
         if run_fairness is not None:
             run_fairness.attach_machine(machine)
-            run_fairness.attach_algorithm(algo)
             if registry is not None:
                 run_fairness.attach_registry(registry)
         for i in range(threads):

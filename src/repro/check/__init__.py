@@ -6,16 +6,16 @@ the run was *legal*.  Three pieces compose (see README "Correctness
 checking"):
 
 * :mod:`repro.check.invariants` — :class:`InvariantMonitor`: attaches to
-  a live machine through the same pull-based hook pattern as the
-  telemetry layer (engine probes, LCU/LRT observers, lock-algorithm
-  observers) and continuously asserts reader-writer exclusion, LCU/LRT
+  a live machine through the same hooks as the telemetry layer (an
+  engine probe and the ``lcu``, ``lrt`` and ``lock`` topics of the
+  probe bus) and continuously asserts reader-writer exclusion, LCU/LRT
   queue well-formedness (no cycles, no orphans, single head token) and
   leak freedom, raising structured :class:`InvariantViolation`\\ s that
   carry the event time and a window of recent protocol messages.
 * :mod:`repro.check.oracle` — :class:`RWLockOracle`: a sequential
   reference model of a fair reader-writer lock that observed acquisition
   orders are cross-checked against (exclusion plus bounded-overtake
-  fairness).
+  fairness), reading the lock's shared waiter/holder table.
 * :mod:`repro.check.fuzz` — a deterministic schedule fuzzer: seeded
   random lock programs (read/write mixes, trylocks, oversubscription,
   migration) explored across perturbed same-cycle interleavings via

@@ -226,7 +226,8 @@ def _crash_victim_gate(case, machine, os_, algo, monitor):
     def gate(core: int) -> bool:
         for t in victims(core):
             for oracle in monitor.oracles.values():
-                if t.tid in oracle.holders or t.tid in oracle.waiting:
+                table = oracle.table
+                if t.tid in table.holders or t.tid in table.waiting:
                     return False
             if not isinstance(t.current_op, ops.Compute):
                 return False

@@ -2,11 +2,10 @@
 
 The :class:`InvariantMonitor` attaches to a machine through the same
 hooks the telemetry layer uses — an engine probe
-(:meth:`repro.sim.engine.Simulator.add_probe`), the ``lcu`` and ``lrt``
-topics of the probe bus (:mod:`repro.sim.bus`), and
-:meth:`repro.locks.base.LockAlgorithm.add_observer` — so every grant,
-transfer, timeout and software-level acquire/release is visible to it
-while the simulation runs.  Any breach raises a structured
+(:meth:`repro.sim.engine.Simulator.add_probe`) and the ``lcu``, ``lrt``
+and ``lock`` topics of the probe bus (:mod:`repro.sim.bus`) — so every
+grant, transfer, timeout and software-level acquire/release is visible
+to it while the simulation runs.  Any breach raises a structured
 :class:`InvariantViolation` carrying the invariant name, the event time
 and a window of the most recent protocol messages (captured with a
 bounded :class:`repro.obs.spans.Tracer` on the ``net`` topic).
@@ -14,7 +13,7 @@ bounded :class:`repro.obs.spans.Tracer` on the ``net`` topic).
 Invariants checked:
 
 ``rw_exclusion``    writers exclusive, readers share (software level,
-                    via the observed lock wrappers), plus the hardware
+                    via the ``lock`` topic), plus the hardware
                     shadow: no two ACQ entries on one address where one
                     is a writer.
 ``queue_shape``     LCU queue links form no cycles; a waiting node's
@@ -420,7 +419,7 @@ class InvariantMonitor:
         sim.bus.lcu.append(self._on_hw_event)
         sim.bus.lrt.append(self._on_hw_event)
         if self.algo is not None:
-            self.algo.add_observer(self._on_lock_event)
+            sim.bus.lock.append(self._on_lock_event)
         self._attached = True
         return self
 
@@ -432,7 +431,7 @@ class InvariantMonitor:
         sim.bus.lcu.remove(self._on_hw_event)
         sim.bus.lrt.remove(self._on_hw_event)
         if self.algo is not None:
-            self.algo.remove_observer(self._on_lock_event)
+            sim.bus.lock.remove(self._on_lock_event)
         if self._ring is not None:
             self._ring.detach()
             self._ring = None
@@ -484,7 +483,7 @@ class InvariantMonitor:
         tid = thread.tid
         self._crashed_tids.add(tid)
         for handle, oracle in self.oracles.items():
-            write = oracle.holders.get(tid)
+            write = oracle.table.holders.get(tid)
             if write is not None:
                 tracker = self.trackers.get(handle)
                 if tracker is not None:
@@ -493,7 +492,8 @@ class InvariantMonitor:
 
     # -- hooks ----------------------------------------------------------- #
 
-    def _oracle_for(self, handle: Any):
+    def _oracle_for(self, lock):
+        handle = lock.handle
         oracle = self.oracles.get(handle)
         if oracle is None:
             fair = bool(self.algo is not None and self.algo.fair)
@@ -504,13 +504,15 @@ class InvariantMonitor:
                     "fairness", msg, handle=h
                 ),
             )
+            oracle.table = lock
             self.oracles[handle] = oracle
         return oracle
 
-    def _on_lock_event(self, event: str, thread, handle: Any,
+    def _on_lock_event(self, event: str, lock, tid: int,
                        write: bool) -> None:
         self.stats["lock_events"] += 1
         now = self.machine.sim.now
+        handle = lock.handle
         tracker = self.trackers.get(handle)
         if tracker is None:
             tracker = self.trackers[handle] = ExclusionTracker(
@@ -518,15 +520,14 @@ class InvariantMonitor:
                     "rw_exclusion", msg, handle=h
                 )
             )
-        oracle = self._oracle_for(handle)
-        tid = thread.tid
+        oracle = self._oracle_for(lock)
         if event == "request":
-            oracle.request(tid, write, now)
+            oracle.check_request(tid, write, now)
         elif event == "acquire":
             if self._reclaimed:
                 self._check_zombie(handle, tid, write, now)
             if self.liveness_bound is not None:
-                entry = oracle.waiting.get(tid)
+                entry = lock.waiting.get(tid)
                 if entry is not None:
                     # Bound the grant delay from whichever is later: the
                     # request, or the last injected fault (recovery time
@@ -543,7 +544,8 @@ class InvariantMonitor:
                             last_fault=self._last_fault_at(),
                         )
             tracker.enter(write)
-            oracle.acquire(tid, write, now, excused=self._frozen_tids(now))
+            oracle.check_acquire(tid, write, now,
+                                 excused=self._frozen_tids(now))
         elif event == "release":
             if self._fenced_voided:
                 voided = self._fenced_voided.get(handle)
@@ -560,9 +562,9 @@ class InvariantMonitor:
                     # conflicted — the hole closed unobserved this time.
                     stale.pop(tid, None)
             tracker.exit(write)
-            oracle.release(tid, write, now)
+            oracle.check_release(tid, write, now)
         elif event == "abandon":
-            oracle.abandon(tid, now)
+            oracle.check_abandon(tid, now)
 
     def _check_zombie(self, handle: Any, tid: int, write: bool,
                       now: int) -> None:
@@ -657,7 +659,7 @@ class InvariantMonitor:
             return
         now = self.machine.sim.now
         tracker = self.trackers.get(addr)
-        for tid, write in list(oracle.holders.items()):
+        for tid, write in list(oracle.table.holders.items()):
             if tid in survivors or tid in self._crashed_tids:
                 continue
             if fenced:
@@ -703,7 +705,8 @@ class InvariantMonitor:
         if self.liveness_bound is not None:
             now = self.machine.sim.now
             for handle, oracle in self.oracles.items():
-                for tid, (_seq, write, req_time) in oracle.waiting.items():
+                waiting = oracle.table.waiting
+                for tid, (_seq, write, req_time) in waiting.items():
                     if tid in self._crashed_tids:
                         continue
                     start = max(req_time, self._last_fault_at())

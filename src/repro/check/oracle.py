@@ -1,10 +1,14 @@
 """Sequential reference model of a fair reader-writer lock.
 
-The oracle shadows one lock at the software level: every "request",
-"acquire", "release" and "abandon" event the observed lock wrappers emit
-(:meth:`repro.locks.base.LockAlgorithm.add_observer`) is replayed against
-a simple sequential model, and the observed order is cross-checked
-against what *any* correct reader-writer lock may legally produce:
+The oracle shadows one lock at the software level.  Under the invariant
+monitor it checks every "request", "acquire", "release" and "abandon"
+event of the ``lock`` topic of the probe bus (:mod:`repro.sim.bus`)
+against the lock's shared :class:`~repro.sim.bus.LockTable`, read as it
+stood before the event; standalone, its :meth:`request` /
+:meth:`acquire` / :meth:`release` / :meth:`abandon` check the event and
+then apply it to the oracle's own table.  The observed order is
+cross-checked against what *any* correct reader-writer lock may legally
+produce:
 
 * exclusion — a writer acquires only when nobody holds the lock, a
   reader only when no writer holds it;
@@ -21,15 +25,16 @@ preempted thread).  Grant-timer timeouts are reported to the oracle via
 :meth:`grant_timeout` and widen the budget further, since each timeout
 represents one waiter the hardware legally skipped.  Waiters that are
 frozen outright by an injected core stall cannot consume a grant at all;
-the monitor passes them as ``excused`` to :meth:`acquire` and passing
-one does not count as an overtake.
+the monitor passes them as ``excused`` to :meth:`check_acquire` and
+passing one does not count as an overtake.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from repro.obs.fairness import OvertakeLedger
+from repro.sim.bus import LockTable
 
 
 class RWLockOracle:
@@ -54,12 +59,11 @@ class RWLockOracle:
         self.overtake_bound = overtake_bound
         self.violations: List[str] = []
         self._on_violation = on_violation
-        self._seq = 0
-        # tid -> (arrival seq, write, request time)
-        self.waiting: Dict[int, Tuple[int, bool, int]] = {}
-        # tid -> write (re-entrant holds are not modelled; the harnesses
-        # never hold one lock twice from one thread)
-        self.holders: Dict[int, bool] = {}
+        #: the waiter/holder table the checks read; the monitor points
+        #: it at the lock's table on the ``lock`` topic (re-entrant
+        #: holds are not modelled; the harnesses never hold one lock
+        #: twice from one thread)
+        self.table = LockTable()
         # arrival-vs-grant accounting is delegated to the shared
         # OvertakeLedger (the same implementation the fairness
         # observatory measures with), run *without* the reader-batch
@@ -94,36 +98,28 @@ class RWLockOracle:
             base = max(self.MIN_BOUND, 4 * len(self._tids_seen))
         return base + self.timeout_credits
 
-    @property
-    def write_held(self) -> bool:
-        return any(self.holders.values())
+    # -- checks: the table as it stood before the event ------------------ #
 
-    @property
-    def read_held(self) -> int:
-        return sum(1 for w in self.holders.values() if not w)
-
-    # -- event replay --------------------------------------------------- #
-
-    def request(self, tid: int, write: bool, now: int) -> None:
+    def check_request(self, tid: int, write: bool, now: int) -> None:
         self._tids_seen.add(tid)
-        if tid in self.waiting:
+        if tid in self.table.waiting:
             self._violate(
                 f"tid {tid} requested at t={now} while already waiting"
             )
-        if tid in self.holders:
+        if tid in self.table.holders:
             self._violate(
                 f"tid {tid} requested at t={now} while already holding"
             )
-        self._seq += 1
-        self.waiting[tid] = (self._seq, write, now)
         self.ledger.note_request(tid)
 
-    def acquire(self, tid: int, write: bool, now: int,
-                excused: Optional[set] = None) -> None:
-        entry = self.waiting.pop(tid, None)
+    def check_acquire(self, tid: int, write: bool, now: int,
+                      excused: Optional[set] = None) -> None:
+        table = self.table
+        holders = table.holders
+        entry = table.waiting.get(tid)
         if entry is None:
             self._violate(f"tid {tid} acquired at t={now} without a request")
-            seq = self._seq
+            seq = table.seq
         else:
             seq, req_write, _ = entry
             if req_write != write:
@@ -131,19 +127,18 @@ class RWLockOracle:
                     f"tid {tid} requested {'W' if req_write else 'R'} but "
                     f"acquired {'W' if write else 'R'} at t={now}"
                 )
-        # exclusion against the oracle's own holder set
-        if write and self.holders:
+        # exclusion against the holder set before the grant
+        if write and holders:
             self._violate(
                 f"writer tid {tid} acquired at t={now} while held by "
-                f"{sorted(self.holders)}"
+                f"{sorted(holders)}"
             )
-        elif not write and self.write_held:
+        elif not write and any(holders.values()):
             self._violate(
                 f"reader tid {tid} acquired at t={now} during a write hold"
             )
-        if tid in self.holders:
+        if tid in holders:
             self._violate(f"tid {tid} double-acquired at t={now}")
-        self.holders[tid] = write
         self.ledger.clear(tid)
         # fairness: everyone who arrived earlier and is still waiting has
         # been overtaken once more (waiters frozen by an injected core
@@ -151,9 +146,7 @@ class RWLockOracle:
         # one is the designed behaviour, not an overtake)
         if self.fair:
             increments = self.ledger.note_grant(
-                tid, seq, write,
-                [(o, oseq, w) for o, (oseq, w, _t) in self.waiting.items()],
-                excused=excused,
+                tid, seq, write, table.waiting, excused=excused,
             )
             for other, count in increments:
                 if count > self._bound():
@@ -163,8 +156,8 @@ class RWLockOracle:
                         f"at t={now}"
                     )
 
-    def release(self, tid: int, write: bool, now: int) -> None:
-        held = self.holders.pop(tid, None)
+    def check_release(self, tid: int, write: bool, now: int) -> None:
+        held = self.table.holders.get(tid)
         if held is None:
             self._violate(f"tid {tid} released at t={now} without holding")
         elif held != write:
@@ -173,11 +166,32 @@ class RWLockOracle:
                 f"{'W' if write else 'R'} at t={now}"
             )
 
-    def abandon(self, tid: int, now: int) -> None:
+    def check_abandon(self, tid: int, now: int) -> None:
         """A trylock gave up: the waiter legally leaves the queue."""
-        if self.waiting.pop(tid, None) is None:
+        if tid not in self.table.waiting:
             self._violate(f"tid {tid} abandoned at t={now} without a request")
         self.ledger.clear(tid)
+
+    # -- standalone replay: check, then apply to the oracle's table ------ #
+
+    def request(self, tid: int, write: bool, now: int) -> None:
+        self.check_request(tid, write, now)
+        self.table.apply("request", tid, write, now)
+
+    def acquire(self, tid: int, write: bool, now: int,
+                excused: Optional[set] = None) -> None:
+        self.check_acquire(tid, write, now, excused)
+        self.table.apply("acquire", tid, write, now)
+
+    def release(self, tid: int, write: bool, now: int) -> None:
+        self.check_release(tid, write, now)
+        self.table.apply("release", tid, write, now)
+
+    def abandon(self, tid: int, now: int) -> None:
+        self.check_abandon(tid, now)
+        self.table.apply("abandon", tid, False, now)
+
+    # -- faults ----------------------------------------------------------- #
 
     def crash(self, tid: int, now: int) -> None:
         """The thread died in an injected crash-stop fault: its hold
@@ -185,8 +199,8 @@ class RWLockOracle:
         revocation), its wait ends (a dead waiter can never consume a
         grant), and its overtake record is void.  Not a violation of
         anything: crash recovery is the machinery under test."""
-        self.holders.pop(tid, None)
-        self.waiting.pop(tid, None)
+        self.table.holders.pop(tid, None)
+        self.table.leave(tid)
         self.ledger.clear(tid)
 
     def fence(self, tid: int, now: int) -> None:
@@ -196,7 +210,7 @@ class RWLockOracle:
         is consumed by the fence, never reaching the lock — but unlike
         :meth:`crash` the thread is still alive: a pending *wait* stays,
         because the thread will re-request and acquire normally."""
-        self.holders.pop(tid, None)
+        self.table.holders.pop(tid, None)
         self.ledger.clear(tid)
 
     def grant_timeout(self) -> None:
@@ -208,13 +222,14 @@ class RWLockOracle:
 
     def end_state_problems(self) -> List[str]:
         problems = list(self.violations)
-        if self.holders:
+        holders, waiting = self.table.holders, self.table.waiting
+        if holders:
             problems.append(
-                f"still held at end of run by {sorted(self.holders)}"
+                f"still held at end of run by {sorted(holders)}"
             )
-        if self.waiting:
+        if waiting:
             problems.append(
-                f"still waiting at end of run: {sorted(self.waiting)} "
+                f"still waiting at end of run: {sorted(waiting)} "
                 "(lost wakeup?)"
             )
         return problems

@@ -108,10 +108,8 @@ def run_microbench(
         tracer.attach(machine)
     if profiler is not None:
         profiler.attach_machine(machine)
-        profiler.attach_algorithm(algo)
     if fairness is not None:
         fairness.attach_machine(machine)
-        fairness.attach_algorithm(algo)
         if registry is not None:
             fairness.attach_registry(registry)
 
@@ -120,9 +118,9 @@ def run_microbench(
     reader_cs = [0]
     acquire_lat = Histogram(bucket_width=32)
     n_writers = round(threads * write_pct / 100.0)
-    # both the profiler and the fairness observatory listen on the
-    # observed wrappers; either one being attached routes lock ops
-    # through them (same instants, same simulated cycles)
+    # both the profiler and the fairness observatory read the lock
+    # events the observed wrappers publish; either one being attached
+    # routes lock ops through them (same instants, same simulated cycles)
     observed = profiler is not None or fairness is not None
 
     def worker_factory(index: int):

@@ -20,6 +20,7 @@ from typing import Any, Dict, Generator, List, Type
 
 from repro.cpu.machine import Machine
 from repro.cpu.os_sched import SimThread
+from repro.sim.bus import LockTable
 
 
 class LockAlgorithm:
@@ -27,12 +28,14 @@ class LockAlgorithm:
 
     Besides the raw ``lock``/``unlock``/``trylock`` generator operations,
     the base class provides *observed* wrappers (:meth:`acquire`,
-    :meth:`release`, :meth:`try_acquire`) that report every request,
-    grant and release to registered observers — the hook the conformance
-    subsystem (:mod:`repro.check`) attaches its invariant monitor and
-    reference oracle to.  Workloads that want their lock operations
-    checked compose the wrappers instead of the raw operations; the raw
-    operations stay observer-free and cost nothing extra.
+    :meth:`release`, :meth:`try_acquire`) that publish every request,
+    grant, release and abandon on the ``lock`` topic of the machine's
+    probe bus (:mod:`repro.sim.bus`) — the topic the invariant monitor,
+    the contention profiler and the fairness observatory subscribe to.
+    Queue locks also publish ``enqueued`` when a thread joins the wait
+    queue.  Workloads that want their lock operations observed compose
+    the wrappers instead of the raw operations; with nobody subscribed,
+    a publication is one falsy check.
     """
 
     # -- Figure 1 metadata (overridden per algorithm) -------------------- #
@@ -50,67 +53,53 @@ class LockAlgorithm:
 
     def __init__(self, machine: Machine) -> None:
         self.machine = machine
-        # callbacks ``fn(event, thread, handle, write)`` where event is
-        # one of "request", "acquire", "release", "abandon", or the
-        # optional "enqueued" fired by queue locks when the thread has
-        # joined the wait queue (observers must ignore unknown events)
-        self.observers: List[Any] = []
+        self._subs = machine.sim.bus.lock
+        #: lock id -> the :class:`LockTable` the ``lock`` topic carries
+        self._tables: Dict[int, LockTable] = {}
 
     # -- identity ---------------------------------------------------------- #
 
-    def lock_id(self, handle: Any) -> Any:
-        """Stable identifier for the lock behind ``handle`` — the key the
-        profiler correlates thread-level observer events with hardware
-        probe events on.  For hardware locks the handle *is* the lock
-        address; software handles expose their primary word."""
-        if isinstance(handle, int):
-            return handle
-        addr = getattr(handle, "addr", None)
-        if isinstance(addr, int):
-            return addr
-        if isinstance(handle, tuple) and handle and isinstance(handle[0], int):
-            return handle[0]        # NamedTuple handles: first word
-        return id(handle)
+    def lock_id(self, handle: Any) -> int:
+        """The lock's primary word: the handle itself for hardware
+        locks, field 0 of a software lock's NamedTuple handle."""
+        return handle if isinstance(handle, int) else handle[0]
 
-    # -- observation ------------------------------------------------------- #
-
-    def add_observer(self, fn) -> None:
-        """Register ``fn(event, thread, handle, write)`` to see every
-        lock-operation lifecycle event issued through the observed
-        wrappers below."""
-        self.observers.append(fn)
-
-    def remove_observer(self, fn) -> bool:
-        """Deregister an observer; returns whether it was registered."""
-        try:
-            self.observers.remove(fn)
-        except ValueError:
-            return False
-        return True
+    # -- publication ------------------------------------------------------- #
 
     def notify(self, event: str, thread: SimThread, handle: Any,
                write: bool) -> None:
-        for fn in self.observers:
-            fn(event, thread, handle, write)
+        """Publish ``event`` on the ``lock`` topic, then apply it to the
+        lock's :class:`LockTable`."""
+        subs = self._subs
+        if not subs:
+            return
+        key = self.lock_id(handle)
+        table = self._tables.get(key)
+        if table is None:
+            table = self._tables[key] = LockTable(key, handle, self.name)
+        tid = thread.tid
+        for fn in subs:
+            fn(event, table, tid, write)
+        table.apply(event, tid, write, self.machine.sim.now)
 
     # -- observed wrappers (generator functions) --------------------------- #
 
     def acquire(self, thread: SimThread, handle: Any, write: bool) -> Generator:
-        """Blocking acquire that reports "request" before blocking and
+        """Blocking acquire that publishes "request" before blocking and
         "acquire" once the lock is held."""
         self.notify("request", thread, handle, write)
         yield from self.lock(thread, handle, write)
         self.notify("acquire", thread, handle, write)
 
     def release(self, thread: SimThread, handle: Any, write: bool) -> Generator:
-        """Release that reports "release" as the critical section ends."""
+        """Release that publishes "release" as the critical section ends."""
         self.notify("release", thread, handle, write)
         yield from self.unlock(thread, handle, write)
 
     def try_acquire(
         self, thread: SimThread, handle: Any, write: bool, retries: int = 16
     ) -> Generator:
-        """Bounded acquire reporting "request" then "acquire" on success
+        """Bounded acquire publishing "request" then "acquire" on success
         or "abandon" on failure; returns True/False like ``trylock``."""
         self.notify("request", thread, handle, write)
         ok = yield from self.trylock(thread, handle, write, retries)

@@ -38,7 +38,7 @@ class LcuRwLock(LockAlgorithm):
     def lock(self, thread: SimThread, handle: int, write: bool) -> Generator:
         # open-coded lcu_api.lock so the first *unsuccessful* acq — the
         # moment the request is enqueued in LCU/LRT hardware — can fire
-        # the "enqueued" observer event (an immediate grant never waits)
+        # the "enqueued" lock event (an immediate grant never waits)
         first = True
         while True:
             ok = yield ops.LcuAcq(handle, write, False)

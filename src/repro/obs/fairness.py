@@ -17,15 +17,16 @@ Three layers, all passive:
   (:class:`repro.check.oracle.RWLockOracle`) delegates its bounded-
   overtake accounting to this class, so the checker and the observatory
   can never disagree about what an overtake is.
-* :class:`FairnessObservatory` — attaches to the observer events of any
-  :class:`~repro.locks.base.LockAlgorithm` (the same surface the
-  conformance monitor uses) plus two probe-bus topics: a bounded
-  :class:`~repro.obs.spans.Tracer` ring on ``net`` (the *flight
-  recorder* snapshotted into every :class:`StarvationAlert`) and the
-  ``ssb`` topic (retry-storm attribution).  It maintains per-lock
-  per-mode wait histograms (p50/p99/p999), a sliding completion window
-  feeding live Jain-index / writer-share gauges, a longest-outstanding-
-  waiter starvation watchdog, and per-lock SLO time-in-violation.
+* :class:`FairnessObservatory` — subscribes to three probe-bus topics:
+  ``lock`` (the thread-level request/acquire/release/abandon events,
+  with the lock's shared :class:`~repro.sim.bus.LockTable` of arrival
+  order, waiters and holders), ``net`` through a bounded
+  :class:`~repro.obs.spans.Tracer` ring (the *flight recorder*
+  snapshotted into every :class:`StarvationAlert`) and ``ssb``
+  (retry-storm attribution).  It maintains per-lock per-mode wait
+  histograms (p50/p99/p999), a sliding completion window feeding live
+  Jain-index / writer-share gauges, a longest-outstanding-waiter
+  starvation watchdog, and per-lock SLO time-in-violation.
 * the export surface — :meth:`FairnessObservatory.to_dict` produces the
   versioned ``fairness`` section of RunReport v4 (validated by
   :func:`validate_fairness`); :meth:`publish` folds counters, wait
@@ -33,8 +34,8 @@ Three layers, all passive:
   :class:`~repro.obs.registry.MetricsRegistry`, which is what makes
   fairness data survive the multiprocess ``repro sweep`` merge.
 
-Zero-cost contract: everything here runs on the *host* side of bus and
-observer callbacks.  Nothing schedules simulator events, so attaching an
+Zero-cost contract: everything here runs on the *host* side of bus
+callbacks.  Nothing schedules simulator events, so attaching an
 observatory leaves simulated cycle counts bit-identical (pinned by the
 overhead-guard test and by ``repro fairness``'s own first-cell check).
 """
@@ -43,7 +44,7 @@ from __future__ import annotations
 
 import dataclasses
 from collections import deque
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs.spans import Tracer
 from repro.sim.stats import Histogram, jain_fairness
@@ -124,12 +125,14 @@ class OvertakeLedger:
         tid: int,
         seq: int,
         write: bool,
-        waiting: Iterable[Tuple[int, int, bool]],
+        waiting: Dict[int, Tuple[int, bool, int]],
         excused: Optional[set] = None,
         read_held: bool = False,
     ) -> List[Tuple[int, int]]:
         """Record a grant to ``tid`` (arrival ``seq``, mode ``write``)
-        over the still-``waiting`` ``(tid, seq, write)`` entries.
+        over ``waiting``, a lock table's tid -> (arrival seq, write,
+        request time) map; the grantee's own entry, if listed, is never
+        earlier than ``seq`` and so is never charged.
 
         Returns the ``(victim, new_count)`` increments actually charged,
         in waiting order — the oracle applies its overtake bound to
@@ -137,7 +140,7 @@ class OvertakeLedger:
         """
         increments: List[Tuple[int, int]] = []
         gmode = _mode(write)
-        for other, oseq, owrite in waiting:
+        for other, (oseq, owrite, _t) in waiting.items():
             if oseq >= seq:
                 continue
             if excused is not None and other in excused:
@@ -210,30 +213,21 @@ class StarvationAlert:
 # per-lock state
 
 
-class _Waiter:
-    __slots__ = ("seq", "write", "t_req", "alerted")
-
-    def __init__(self, seq: int, write: bool, t_req: int) -> None:
-        self.seq = seq
-        self.write = write
-        self.t_req = t_req
-        self.alerted = False
-
-
 class _LockState:
     __slots__ = (
-        "label", "ledger", "seq", "waiting", "holders", "wait_hist",
+        "label", "table", "ledger", "alerted", "wait_hist",
         "per_thread", "grants", "abandons", "longest_wait",
         "slo_violations", "slo_excess", "slo_intervals", "slo_checked",
         "alerts_total", "ssb_failed_acquires",
     )
 
-    def __init__(self, label: str, reader_batch_exempt: bool) -> None:
-        self.label = label
+    def __init__(self, table, reader_batch_exempt: bool) -> None:
+        self.label = f"{table.name}@{table.id:#x}"
+        #: the lock's shared waiter/holder table (``lock`` bus topic)
+        self.table = table
         self.ledger = OvertakeLedger(reader_batch_exempt=reader_batch_exempt)
-        self.seq = 0
-        self.waiting: Dict[int, _Waiter] = {}
-        self.holders: Dict[int, bool] = {}
+        #: arrival seqs of the requests the watchdog already alerted on
+        self.alerted: set = set()
         self.wait_hist = {
             "read": Histogram(bucket_width=WAIT_BUCKET),
             "write": Histogram(bucket_width=WAIT_BUCKET),
@@ -319,7 +313,6 @@ class FairnessObservatory:
         self.reader_batch_exempt = reader_batch_exempt
         self.alerts: List[StarvationAlert] = []
         self._locks: Dict[Any, _LockState] = {}
-        self._algos: List[Tuple[Any, Any]] = []   # (algo, observer fn)
         self._ring: Optional[Tracer] = None
         self._machine = None
         #: (sim time, tid, write) completions inside the sliding window
@@ -328,40 +321,26 @@ class FairnessObservatory:
     # -- attachment ----------------------------------------------------- #
 
     def attach_machine(self, machine) -> "FairnessObservatory":
-        """Install the flight-recorder ring (a bounded network tracer)
-        and subscribe to the ``ssb`` bus topic."""
+        """Subscribe to the ``lock`` and ``ssb`` bus topics and install
+        the flight-recorder ring (a bounded network tracer)."""
         self._machine = machine
         self._ring = Tracer.attach(machine, capacity=self.ring_capacity)
-        machine.sim.bus.ssb.append(self._on_ssb_probe)
-        return self
-
-    def attach_algorithm(self, algo, name: Optional[str] = None
-                         ) -> "FairnessObservatory":
-        """Observe one lock algorithm's request/acquire/release events.
-        ``name`` defaults to the algorithm's registry name."""
-        prefix = name if name is not None else algo.name
-
-        def observer(event, thread, handle, write,
-                     _algo=algo, _prefix=prefix):
-            self._on_event(_prefix, _algo, event, thread, handle, write)
-
-        algo.add_observer(observer)
-        self._algos.append((algo, observer))
+        bus = machine.sim.bus
+        bus.lock.append(self._on_event)
+        bus.ssb.append(self._on_ssb_probe)
         return self
 
     def detach(self) -> None:
-        """Remove every observer, the bus subscription and the flight
-        recorder.  Runs a final watchdog pass so waiters still starving
-        at the end of the run are reported even if no further event
-        would have fired."""
+        """Leave the bus and remove the flight recorder.  Runs a final
+        watchdog pass so waiters still starving at the end of the run
+        are reported even if no further event would have fired."""
         if self._machine is not None:
             now = self._machine.sim.now
             for st in self._locks.values():
-                self._check_starvation(st, now)
-            self._machine.sim.bus.ssb.remove(self._on_ssb_probe)
-        for algo, fn in self._algos:
-            algo.remove_observer(fn)
-        self._algos.clear()
+                self._check_starvation(st, now, None)
+            bus = self._machine.sim.bus
+            bus.lock.remove(self._on_event)
+            bus.ssb.remove(self._on_ssb_probe)
         if self._ring is not None:
             self._ring.detach()
         self._machine = None
@@ -376,35 +355,27 @@ class FairnessObservatory:
 
     # -- event intake ---------------------------------------------------- #
 
-    def _state(self, key: Any, prefix: str) -> _LockState:
-        st = self._locks.get(key)
+    def _on_event(self, event, lock, tid, write) -> None:
+        now = self._machine.sim.now
+        st = self._locks.get(lock.id)
         if st is None:
-            label = (f"{prefix}@{key:#x}" if isinstance(key, int)
-                     else f"{prefix}#{len(self._locks)}")
-            st = self._locks[key] = _LockState(
-                label, self.reader_batch_exempt
+            st = self._locks[lock.id] = _LockState(
+                lock, self.reader_batch_exempt
             )
-        return st
-
-    def _on_event(self, prefix, algo, event, thread, handle, write) -> None:
-        now = algo.machine.sim.now
-        st = self._state(algo.lock_id(handle), prefix)
-        tid = thread.tid
         if event == "request":
-            st.seq += 1
-            st.waiting[tid] = _Waiter(st.seq, bool(write), now)
             st.ledger.note_request(tid)
         elif event == "acquire":
-            waiter = st.waiting.pop(tid, None)
-            if waiter is None:      # raw-path mix-in: synthesize arrival
-                waiter = _Waiter(st.seq, bool(write), now)
+            entry = lock.waiting.get(tid)
+            if entry is None:       # raw-path mix-in: synthesize arrival
+                seq, t_req = lock.seq, now
+            else:
+                seq, _w, t_req = entry
             st.ledger.clear(tid)
             st.ledger.note_grant(
-                tid, waiter.seq, bool(write),
-                [(o, w.seq, w.write) for o, w in st.waiting.items()],
-                read_held=any(not w for w in st.holders.values()),
+                tid, seq, bool(write), lock.waiting,
+                read_held=any(not w for w in lock.holders.values()),
             )
-            wait = now - waiter.t_req
+            wait = now - t_req
             mode = "write" if write else "read"
             st.wait_hist[mode].add(wait)
             st.grants[mode] += 1
@@ -417,28 +388,25 @@ class FairnessObservatory:
             pt[1] += wait
             if wait > pt[2]:
                 pt[2] = wait
-            st.holders[tid] = bool(write)
             if self.slo is not None:
                 st.slo_checked += 1
                 if wait > self.slo:
                     st.slo_violations += 1
                     st.slo_excess += wait - self.slo
-                    st.slo_intervals.append(
-                        (waiter.t_req + self.slo, now)
-                    )
+                    st.slo_intervals.append((t_req + self.slo, now))
                     if len(st.slo_intervals) > 4096:
                         merged = _merge_intervals(st.slo_intervals)
                         st.slo_intervals = merged
             self._window_events.append((now, tid, bool(write)))
             self._prune_window(now)
-        elif event == "release":
-            st.holders.pop(tid, None)
         elif event == "abandon":
-            st.waiting.pop(tid, None)
             st.ledger.clear(tid)
             st.abandons += 1
-        # unknown events (e.g. "enqueued") only feed the watchdog clock
-        self._check_starvation(st, now)
+        # every event runs the watchdog; the table still holds the entry
+        # a request replaces or a grant or abandon removes: skip it
+        self._check_starvation(
+            st, now, None if event in ("release", "enqueued") else tid
+        )
 
     def _on_ssb_probe(self, event, addr, tid, write) -> None:
         if event == "acq_fail":
@@ -448,19 +416,20 @@ class FairnessObservatory:
 
     # -- watchdog -------------------------------------------------------- #
 
-    def _check_starvation(self, st: _LockState, now: int) -> None:
-        for tid, waiter in st.waiting.items():
-            if waiter.alerted:
+    def _check_starvation(self, st: _LockState, now: int,
+                          skip: Optional[int]) -> None:
+        for tid, (seq, write, t_req) in st.table.waiting.items():
+            if tid == skip or seq in st.alerted:
                 continue
-            waited = now - waiter.t_req
+            waited = now - t_req
             if waited > self.starvation_bound:
-                waiter.alerted = True
+                st.alerted.add(seq)
                 st.alerts_total += 1
                 if st.alerts_total <= self.max_alert_details:
                     events = ([r.render() for r in self._ring.records]
                               if self._ring is not None else [])
                     self.alerts.append(StarvationAlert(
-                        lock=st.label, tid=tid, write=waiter.write,
+                        lock=st.label, tid=tid, write=bool(write),
                         waited=waited, t=now,
                         bound=self.starvation_bound, events=events,
                     ))

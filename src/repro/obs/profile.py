@@ -6,21 +6,21 @@ every lock acquisition into the paper's transfer pipeline,
 
     enqueue -> queue_wait -> transfer -> handoff -> critical_section
 
-using timestamp events the hardware models publish on the probe bus
-(:mod:`repro.sim.bus`: the ``lcu``, ``lrt`` and ``net`` topics) plus the
-lock-algorithm observer events of
-:class:`~repro.locks.base.LockAlgorithm` — no span-name string parsing
-anywhere.  Phase boundaries, per acquisition of thread *t*:
+using timestamp events published on the probe bus
+(:mod:`repro.sim.bus`): the thread-level ``lock`` topic and the
+hardware models' ``lcu``, ``lrt`` and ``net`` topics — no span-name
+string parsing anywhere.  Phase boundaries, per acquisition of thread
+*t*:
 
-    t0  request   thread enters the acquire path (observer "request")
+    t0  request   thread enters the acquire path (lock "request")
     t1  enqueue   the home LRT accepts the request into the queue
-                  (probe "enqueue"; software locks: observer "enqueued"
+                  (lrt "enqueue"; software locks: lock "enqueued"
                   fired when the thread links into the queue)
     t2  grant     the grant targeting *t* leaves the previous holder
-                  (LRT/LCU probe "grant_sent")
-    t3  arrival   the grant lands in *t*'s LCU (probe "grant_recv")
-    t4  acquired  the thread claims the lock (observer "acquire")
-    t5  released  the critical section ends (observer "release")
+                  (lrt/lcu "grant_sent")
+    t3  arrival   the grant lands in *t*'s LCU (lcu "grant_recv")
+    t4  acquired  the thread claims the lock (lock "acquire")
+    t5  released  the critical section ends (lock "release")
 
 Missing interior timestamps (software locks have no grant messages; an
 FLT hit has no LRT traffic) are resolved conservatively — t1 falls back
@@ -31,7 +31,8 @@ exactly ``t4 - t0``, the same end-to-end latency the harness measures.
 Besides the decomposition the profiler keeps, per lock:
 
 * a queue-depth timeline — ``(t, waiting_readers, waiting_writers,
-  holders)`` at every state change — plus time-weighted means;
+  holders)`` at every state change, read from the lock's shared
+  :class:`~repro.sim.bus.LockTable` — plus time-weighted means;
 * protocol-message attribution (count / inter-chip crossings / by type)
   per logical send on the ``net`` topic, keyed on the ``addr`` field
   every LCU/LRT message carries;
@@ -139,21 +140,16 @@ class _LockState:
     """Live bookkeeping for one lock while profiling runs."""
 
     __slots__ = (
-        "label", "pending", "active", "completed", "waiting_read",
-        "waiting_write", "holders", "timeline", "timeline_dropped",
+        "label", "open", "completed", "timeline", "timeline_dropped",
         "abandoned", "messages", "inter_chip", "msg_types",
     )
 
     def __init__(self, label: str) -> None:
         self.label = label
-        #: tid -> Acquisition not yet acquired
-        self.pending: Dict[int, Acquisition] = {}
-        #: tid -> Acquisition held (acquired, not released)
-        self.active: Dict[int, Acquisition] = {}
+        #: tid -> Acquisition not yet released (the phase stamps; who
+        #: waits and who holds is the lock's shared table)
+        self.open: Dict[int, Acquisition] = {}
         self.completed: List[Acquisition] = []
-        self.waiting_read = 0
-        self.waiting_write = 0
-        self.holders = 0
         self.timeline: List[Tuple[int, int, int, int]] = []
         self.timeline_dropped = 0
         self.abandoned = 0
@@ -163,14 +159,13 @@ class _LockState:
 
 
 class ContentionProfiler:
-    """Collects lock-phase timestamps from machine probes and algorithm
-    observers; exports decomposition / timelines / critical paths.
+    """Collects lock-phase timestamps from the probe bus; exports
+    decomposition / timelines / critical paths.
 
     Usage (the harness does this when ``profiler=`` is passed)::
 
         prof = ContentionProfiler()
-        prof.attach_machine(machine)        # lcu / lrt / net bus topics
-        prof.attach_algorithm(algo, "lcu")  # thread-level request/acquire
+        prof.attach_machine(machine)    # lock / lcu / lrt / net topics
         ... run ...
         prof.detach()
         print(prof.summarize())
@@ -187,8 +182,6 @@ class ContentionProfiler:
         self._sim = None
         self._machine = None
         self._locks: Dict[Any, _LockState] = {}
-        self._algos: List[Tuple[Any, Any]] = []   # (algo, observer fn)
-        self._lock_names: Dict[Any, str] = {}     # lock key -> algo name
         self.max_timeline = max_timeline
         self.unmatched_probes = 0
 
@@ -196,63 +189,51 @@ class ContentionProfiler:
     # attachment
 
     def attach_machine(self, machine) -> "ContentionProfiler":
-        """Subscribe to ``machine``'s ``lcu``, ``lrt`` and ``net`` bus
-        topics.  Replaces any previous attachment (one machine at a
-        time)."""
-        self.detach_machine()
+        """Subscribe to ``machine``'s ``lock``, ``lcu``, ``lrt`` and
+        ``net`` bus topics.  Replaces any previous attachment (one
+        machine at a time)."""
+        self.detach()
         self._machine = machine
         self._sim = machine.sim
         bus = machine.sim.bus
+        bus.lock.append(self._on_algo_event)
         bus.lcu.append(self._on_lcu_probe)
         bus.lrt.append(self._on_lrt_probe)
         bus.net.append(self._on_net_probe)
         return self
 
-    def attach_algorithm(self, algo, name: Optional[str] = None) -> None:
-        """Observe thread-level lock lifecycle events (request / enqueued
-        / acquire / release / abandon) issued through ``algo``'s observed
-        wrappers.  ``name`` labels this algorithm's locks in the output
-        (default: the algorithm's registry name)."""
-        if self._sim is None:
-            self._sim = algo.machine.sim
-        prefix = name if name is not None else algo.name
-
-        def observer(event, thread, handle, write, _algo=algo, _p=prefix):
-            self._on_algo_event(event, thread, handle, write, _algo, _p)
-
-        algo.add_observer(observer)
-        self._algos.append((algo, observer))
-
-    def detach_machine(self) -> None:
+    def detach(self) -> None:
+        """Remove every subscription installed by this profiler."""
         if self._machine is None:
             return
         bus = self._machine.sim.bus
+        bus.lock.remove(self._on_algo_event)
         bus.lcu.remove(self._on_lcu_probe)
         bus.lrt.remove(self._on_lrt_probe)
         bus.net.remove(self._on_net_probe)
         self._machine = None
 
-    def detach(self) -> None:
-        """Remove every probe and observer installed by this profiler."""
-        self.detach_machine()
-        for algo, observer in self._algos:
-            algo.remove_observer(observer)
-        self._algos.clear()
-
     # ------------------------------------------------------------------ #
     # event intake
 
-    def _now(self) -> int:
-        return self._sim.now if self._sim is not None else 0
-
-    def _state_for(self, key: Any, label: str) -> _LockState:
-        st = self._locks.get(key)
-        if st is None:
-            st = self._locks[key] = _LockState(label)
-        return st
-
-    def _mark(self, st: _LockState) -> None:
-        point = (self._now(), st.waiting_read, st.waiting_write, st.holders)
+    def _mark(self, st: _LockState, lock, event: str, tid: int,
+              write: bool) -> None:
+        """Append the queue depth ``event`` leaves behind: the lock
+        table's depth before the event plus the event's own change."""
+        waiting, writers = len(lock.waiting), lock.writers_waiting
+        holders = len(lock.holders)
+        entry = lock.waiting.get(tid)
+        if entry is not None:       # the event replaces or ends this wait
+            waiting -= 1
+            writers -= bool(entry[1])
+        if event == "request":
+            waiting += 1
+            writers += bool(write)
+        elif event == "acquire":
+            holders += tid not in lock.holders
+        elif event == "release":
+            holders -= tid in lock.holders
+        point = (self._sim.now, waiting - writers, writers, holders)
         if st.timeline and st.timeline[-1] == point:
             return
         if len(st.timeline) < self.max_timeline:
@@ -260,22 +241,18 @@ class ContentionProfiler:
         else:
             st.timeline_dropped += 1
 
-    def _on_algo_event(self, event, thread, handle, write, algo, prefix):
-        key = algo.lock_id(handle)
-        st = self._state_for(key, f"{prefix}@{key:#x}"
-                             if isinstance(key, int) else f"{prefix}@{key}")
-        self._lock_names.setdefault(key, prefix)
-        tid = thread.tid
-        now = self._now()
+    def _on_algo_event(self, event, lock, tid, write):
+        st = self._locks.get(lock.id)
+        if st is None:
+            st = self._locks[lock.id] = _LockState(
+                f"{lock.name}@{lock.id:#x}"
+            )
+        now = self._sim.now
+        rec = st.open.get(tid)
         if event == "request":
-            st.pending[tid] = Acquisition(st.label, tid, write, now)
-            if write:
-                st.waiting_write += 1
-            else:
-                st.waiting_read += 1
-            self._mark(st)
+            st.open[tid] = Acquisition(st.label, tid, write, now)
+            self._mark(st, lock, event, tid, write)
         elif event == "enqueued":
-            rec = st.pending.get(tid)
             if rec is not None and rec.t_enqueue is None:
                 # Probe-side enqueue events (LCU/LRT) carry the exact
                 # hardware enqueue time and fire before the thread
@@ -283,33 +260,22 @@ class ContentionProfiler:
                 # software-observed join.
                 rec.t_enqueue = now
         elif event == "acquire":
-            rec = st.pending.pop(tid, None)
-            if rec is None:          # acquired without an observed request
-                rec = Acquisition(st.label, tid, write, now)
+            if rec is None or rec.t_acquired is not None:
+                # acquired without an observed request
+                rec = st.open[tid] = Acquisition(st.label, tid, write, now)
             rec.t_acquired = now
-            st.active[tid] = rec
-            if rec.write:
-                st.waiting_write = max(0, st.waiting_write - 1)
-            else:
-                st.waiting_read = max(0, st.waiting_read - 1)
-            st.holders += 1
-            self._mark(st)
+            self._mark(st, lock, event, tid, write)
         elif event == "release":
-            rec = st.active.pop(tid, None)
-            if rec is not None:
+            if rec is not None and rec.t_acquired is not None:
+                del st.open[tid]
                 rec.t_released = now
                 st.completed.append(rec)
-                st.holders = max(0, st.holders - 1)
-                self._mark(st)
+                self._mark(st, lock, event, tid, write)
         elif event == "abandon":
-            rec = st.pending.pop(tid, None)
-            if rec is not None:
+            if rec is not None and rec.t_acquired is None:
+                del st.open[tid]
                 st.abandoned += 1
-                if rec.write:
-                    st.waiting_write = max(0, st.waiting_write - 1)
-                else:
-                    st.waiting_read = max(0, st.waiting_read - 1)
-                self._mark(st)
+                self._mark(st, lock, event, tid, write)
 
     # -- bus subscribers -------------------------------------------------- #
     # Signatures are positional and tiny: the hardware models call them
@@ -319,12 +285,10 @@ class ContentionProfiler:
 
     def _pending_rec(self, addr: int, tid: int) -> Optional[Acquisition]:
         st = self._locks.get(addr)
-        if st is None:
+        rec = None if st is None else st.open.get(tid)
+        if rec is None or rec.t_acquired is not None:
             self.unmatched_probes += 1
             return None
-        rec = st.pending.get(tid)
-        if rec is None:
-            self.unmatched_probes += 1
         return rec
 
     def _on_lcu_probe(self, event: str, addr: int, tid: int,
@@ -334,7 +298,7 @@ class ContentionProfiler:
         rec = self._pending_rec(addr, tid)
         if rec is None:
             return
-        now = self._now()
+        now = self._sim.now
         if event == "grant_recv":
             if rec.t_grant_recv is None:
                 rec.t_grant_recv = now
@@ -352,7 +316,7 @@ class ContentionProfiler:
         rec = self._pending_rec(addr, tid)
         if rec is None:
             return
-        now = self._now()
+        now = self._sim.now
         if event == "enqueue":
             rec.t_enqueue = now      # last wins: retries restart the clock
         elif event == "grant_sent":
@@ -381,9 +345,8 @@ class ContentionProfiler:
         return sorted(self._locks, key=str)
 
     def _records(self, st: _LockState) -> List[Acquisition]:
-        done = [r for r in st.completed if r.t_acquired is not None]
-        held = [r for r in st.active.values() if r.t_acquired is not None]
-        return done + held
+        held = [r for r in st.open.values() if r.t_acquired is not None]
+        return st.completed + held
 
     def _critical_path(self, st: _LockState, top: int) -> Dict[str, Any]:
         """Serialization chain in grant order: alternating
@@ -484,7 +447,7 @@ class ContentionProfiler:
             "reads": reads,
             "writes": len(recs) - reads,
             "abandoned": st.abandoned,
-            "unreleased": len(st.active),
+            "unreleased": sum(1 for r in recs if r.t_released is None),
             "acquire_latency_total": acquire_total,
             "phases": {p: s.to_dict() for p, s in phases.items()},
             "by_mode": {

@@ -82,8 +82,8 @@ class Simulator:
         self._keys: List[int] = []
         self._events: Dict[int, Callable[[], None]] = {}
         self._probes: List[Callable[[], None]] = []
-        #: observer subscriptions of the hardware models (see
-        #: :mod:`repro.sim.bus`)
+        #: subscriptions to the events of the hardware models and the
+        #: lock algorithms (see :mod:`repro.sim.bus`)
         self.bus = ProbeBus()
         self.dispatch: Optional[Callable[[int, Callable[[], None]], None]] = None
         self._stop = False

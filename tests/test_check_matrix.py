@@ -251,10 +251,12 @@ def test_monitor_violation_is_structured():
 
 
 def test_observed_wrappers_emit_lifecycle_events(machine):
-    events = []
+    seen = []
     algo = get_algorithm("tas")(machine)
     h = algo.make_lock()
-    algo.add_observer(lambda ev, th, hd, w: events.append(ev))
+    machine.sim.bus.lock.append(
+        lambda ev, lock, tid, w: seen.append((ev, lock))
+    )
 
     from repro.cpu.os_sched import OS
     os_ = OS(machine)
@@ -268,10 +270,13 @@ def test_observed_wrappers_emit_lifecycle_events(machine):
 
     os_.spawn(lambda t: prog(t))
     os_.run_all()
-    assert events == [
+    assert [ev for ev, _lock in seen] == [
         "request", "acquire", "release", "request", "acquire", "release",
     ]
-    assert algo.remove_observer(events.append) is False
+    # every event carries the one table of the lock, left empty
+    (table,) = {id(lock): lock for _ev, lock in seen}.values()
+    assert table.id == algo.lock_id(h) and table.handle == h
+    assert table.waiting == {} and table.holders == {}
 
 
 def test_cli_check_matrix_smoke(capsys):

@@ -9,7 +9,7 @@ from repro.check import InvariantMonitor
 from repro.cpu import ops
 from repro.cpu.machine import Machine
 from repro.cpu.os_sched import OS
-from repro.locks.base import get_algorithm
+from repro.locks.base import all_algorithms, get_algorithm
 from repro.obs import (
     ContentionProfiler,
     FairnessObservatory,
@@ -34,17 +34,29 @@ def _setup(lock, model):
     return machine, OS(machine), algo, algo.make_lock()
 
 
-def _spawn(os_, algo, handle, threads=6, iters=8):
+def _spawn(os_, algo, handle, threads=6, iters=8, trylock=False):
     """Spawn workers running observed acquire/release loops; returns the
-    per-thread critical-section counters."""
+    per-thread critical-section and abandoned-trylock counters.  With
+    ``trylock`` every acquisition is a two-attempt ``try_acquire``, and
+    a worker that gives up backs off and skips that critical section."""
     done = [0] * threads
+    abandoned = [0] * threads
 
     def factory(index):
         def worker(thread):
             rng = random.Random(index)
             for _ in range(iters):
                 write = rng.random() < 0.5 if algo.rw_support else True
-                yield from algo.acquire(thread, handle, write)
+                if trylock:
+                    ok = yield from algo.try_acquire(
+                        thread, handle, write, retries=2
+                    )
+                    if not ok:
+                        abandoned[index] += 1
+                        yield ops.Compute(rng.randint(1, 60))
+                        continue
+                else:
+                    yield from algo.acquire(thread, handle, write)
                 yield ops.Compute(rng.randint(5, 40))
                 yield from algo.release(thread, handle, write)
                 done[index] += 1
@@ -53,7 +65,7 @@ def _spawn(os_, algo, handle, threads=6, iters=8):
 
     for i in range(threads):
         os_.spawn(factory(i))
-    return done
+    return done, abandoned
 
 
 class _Sinks:
@@ -67,10 +79,8 @@ class _Sinks:
         self.registry = MetricsRegistry()
         self.attach = {
             "monitor": self.monitor.attach,
-            "profiler": lambda: (self.profiler.attach_machine(machine),
-                                 self.profiler.attach_algorithm(algo)),
-            "fairness": lambda: (self.fairness.attach_machine(machine),
-                                 self.fairness.attach_algorithm(algo)),
+            "profiler": lambda: self.profiler.attach_machine(machine),
+            "fairness": lambda: self.fairness.attach_machine(machine),
             "tracer": lambda: self.tracer.attach(machine),
             "registry": lambda: attach_machine_metrics(
                 machine, self.registry, sample_interval=500),
@@ -90,10 +100,10 @@ ORDERS = {
 }
 
 
-def _bare_run(lock, model):
+def _bare_run(lock, model, trylock=False):
     machine, os_, algo, handle = _setup(lock, model)
-    done = _spawn(os_, algo, handle)
-    return os_.run_all(), done
+    counters = _spawn(os_, algo, handle, trylock=trylock)
+    return os_.run_all(), counters
 
 
 class TestEverySinkAtOnce:
@@ -105,21 +115,44 @@ class TestEverySinkAtOnce:
         sinks = _Sinks(machine, algo)
         for name in ORDERS[order]:
             sinks.attach[name]()
-        done = _spawn(os_, algo, handle)
+        counters = _spawn(os_, algo, handle)
         elapsed = os_.run_all()
         # detach in attach order: each sink leaves the bus on its own
         for name in ORDERS[order]:
             sinks.detach[name]()
 
-        assert (elapsed, done) == _bare_run(lock, model)
+        assert (elapsed, counters) == _bare_run(lock, model)
         assert _bus_empty(machine)
-        assert machine.sim._probes == [] and algo.observers == []
+        assert machine.sim._probes == []
         # every sink saw the run
         assert sinks.monitor.stats["lock_events"] > 0
         assert sinks.profiler.to_dict()["locks"]
         assert sinks.fairness.to_dict()["locks"]
         assert any(s.cat == "net" for s in sinks.tracer.spans)
         assert sinks.registry.to_dict()["series"]
+
+    @pytest.mark.parametrize("lock", ["lcu", "ssb"])
+    def test_abandoned_trylocks_with_every_sink(self, lock):
+        """The ``abandon`` path: failed ``try_acquire``s leave simulated
+        time alone, and the fairness and profiler views count exactly
+        the abandons the workers saw."""
+        machine, os_, algo, handle = _setup(lock, "A")
+        sinks = _Sinks(machine, algo)
+        for name in ORDERS["forward"]:
+            sinks.attach[name]()
+        counters = _spawn(os_, algo, handle, trylock=True)
+        elapsed = os_.run_all()
+        for name in ORDERS["forward"]:
+            sinks.detach[name]()
+
+        assert (elapsed, counters) == _bare_run(lock, "A", trylock=True)
+        assert _bus_empty(machine)
+        abandons = sum(counters[1])
+        assert abandons > 0
+        (fair,) = sinks.fairness.to_dict()["locks"].values()
+        (prof,) = sinks.profiler.to_dict()["locks"].values()
+        assert fair["abandoned"] == prof["abandoned"] == abandons
+        assert sinks.monitor.stats["lock_events"] > 0
 
 
 class TestDetachRegressions:
@@ -141,10 +174,8 @@ class TestDetachRegressions:
             other = ContentionProfiler()
             if extra:
                 other.attach_machine(machine)
-                other.attach_algorithm(algo)
             prof = ContentionProfiler()
             prof.attach_machine(machine)
-            prof.attach_algorithm(algo)
             _spawn(os_, algo, handle)
             machine.sim.run(until=1_500)
             other.detach()
@@ -156,6 +187,18 @@ class TestDetachRegressions:
         alone = profiled(extra=False)
         assert alone["locks"]
         assert profiled(extra=True) == alone
+
+
+class TestLockTopic:
+    @pytest.mark.parametrize("name", sorted(all_algorithms()))
+    def test_lock_id_is_the_primary_word(self, name):
+        """Every registered handle is an int or a NamedTuple whose field
+        0 is the lock word, so ``lock_id`` is always an int."""
+        algo = get_algorithm(name)(Machine(small_test_model()))
+        handle = algo.make_lock()
+        key = algo.lock_id(handle)
+        assert type(key) is int
+        assert key == (handle if isinstance(handle, int) else handle[0])
 
 
 class TestNetTopic:

@@ -15,6 +15,7 @@ from contextlib import redirect_stdout
 import pytest
 
 from repro.harness.microbench import run_microbench
+from repro.locks.base import LockAlgorithm
 from repro.obs import MetricsRegistry
 from repro.obs.fairness import (
     FairnessError,
@@ -30,6 +31,7 @@ from repro.obs.report import (
     validate_run_report,
 )
 from repro.params import model_a, small_test_model
+from repro.sim.bus import ProbeBus
 
 pytestmark = pytest.mark.fairness
 
@@ -46,15 +48,16 @@ class TestOvertakeLedger:
         for tid in (1, 2, 3):
             led.note_request(tid)
         # writer 3 (arrived 3rd) granted over readers 1 and 2
-        inc = led.note_grant(3, 3, True, [(1, 1, False), (2, 2, False)])
+        inc = led.note_grant(3, 3, True,
+                             {1: (1, False, 0), 2: (2, False, 0)})
         assert inc == [(1, 1), (2, 1)]
         led.clear(3)
         # reader 2 granted over reader 1: second overtake for tid 1
-        inc = led.note_grant(2, 2, False, [(1, 1, False)])
+        inc = led.note_grant(2, 2, False, {1: (1, False, 0)})
         assert inc == [(1, 2)]
         led.clear(2)
         # tid 1 finally granted, nobody left to overtake
-        assert led.note_grant(1, 1, False, []) == []
+        assert led.note_grant(1, 1, False, {}) == []
         led.clear(1)
 
         assert led.total == 3
@@ -71,7 +74,8 @@ class TestOvertakeLedger:
         """A grant only overtakes waiters that arrived *earlier*."""
         led = OvertakeLedger()
         led.note_request(1)
-        assert led.note_grant(1, 1, True, [(2, 2, False), (3, 5, True)]) == []
+        waiting = {2: (2, False, 0), 3: (5, True, 0)}
+        assert led.note_grant(1, 1, True, waiting) == []
         assert led.total == 0
 
     def test_excused_waiters_skipped(self):
@@ -80,7 +84,8 @@ class TestOvertakeLedger:
         led = OvertakeLedger()
         led.note_request(1)
         led.note_request(2)
-        inc = led.note_grant(3, 3, True, [(1, 1, False), (2, 2, False)],
+        inc = led.note_grant(3, 3, True,
+                             {1: (1, False, 0), 2: (2, False, 0)},
                              excused={1})
         assert inc == [(2, 1)]
         assert led.counts.get(1, 0) == 0
@@ -92,7 +97,7 @@ class TestOvertakeLedger:
         readers are still charged, and without a read holder the writer
         is charged too."""
         led = OvertakeLedger(reader_batch_exempt=True)
-        waiting = [(1, 1, True), (2, 2, False)]
+        waiting = {1: (1, True, 0), 2: (2, False, 0)}
         inc = led.note_grant(3, 3, False, waiting, read_held=True)
         assert inc == [(2, 1)]
         assert led.exempted == 1
@@ -105,8 +110,8 @@ class TestOvertakeLedger:
     def test_top_pairs_ranked_by_count(self):
         led = OvertakeLedger()
         for _ in range(3):
-            led.note_grant(9, 100, True, [(1, 1, False)])
-        led.note_grant(8, 100, True, [(2, 2, False)])
+            led.note_grant(9, 100, True, {1: (1, False, 0)})
+        led.note_grant(8, 100, True, {2: (2, False, 0)})
         assert led.top_pairs(2) == [(1, 9, 3), (2, 8, 1)]
         d = led.to_dict()
         assert d["total"] == 4 and d["max"] == 3
@@ -120,6 +125,7 @@ class TestOvertakeLedger:
 class _Sim:
     def __init__(self):
         self.now = 0
+        self.bus = ProbeBus()
 
 
 class _Machine:
@@ -132,34 +138,24 @@ class _Thread:
         self.tid = tid
 
 
-class _ScriptedLock:
-    """Minimal observed lock: replays a hand-built event schedule."""
+class _ScriptedLock(LockAlgorithm):
+    """Minimal observed lock: publishes a hand-built event schedule on
+    a real probe bus through :meth:`LockAlgorithm.notify`."""
 
     name = "scripted"
 
     def __init__(self):
-        self.machine = _Machine()
-        self._observers = []
-
-    def lock_id(self, handle):
-        return handle
-
-    def add_observer(self, fn):
-        self._observers.append(fn)
-
-    def remove_observer(self, fn):
-        self._observers.remove(fn)
+        super().__init__(_Machine())
 
     def emit(self, t, event, tid, write, handle=0x40):
         self.machine.sim.now = t
-        for fn in list(self._observers):
-            fn(event, _Thread(tid), handle, write)
+        self.notify(event, _Thread(tid), handle, write)
 
 
 def _scripted(obs=None):
     algo = _ScriptedLock()
     obs = obs if obs is not None else FairnessObservatory()
-    obs.attach_algorithm(algo)
+    obs.attach_machine(algo.machine)
     return algo, obs
 
 
@@ -262,7 +258,8 @@ class TestScriptedObservatory:
         algo, obs = _scripted()
         algo.emit(0, "request", 1, True)
         obs.detach()
-        assert algo._observers == []
+        bus = algo.machine.sim.bus
+        assert all(getattr(bus, t) == [] for t in ProbeBus.__slots__)
         algo.emit(5, "acquire", 1, True)
         assert obs.lock_summary(0x40)["grants"]["write"] == 0
 
