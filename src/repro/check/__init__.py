@@ -6,9 +6,9 @@ the run was *legal*.  Three pieces compose (see README "Correctness
 checking"):
 
 * :mod:`repro.check.invariants` — :class:`InvariantMonitor`: attaches to
-  a live machine through the same hooks as the telemetry layer (an
-  engine probe and the ``lcu``, ``lrt`` and ``lock`` topics of the
-  probe bus) and continuously asserts reader-writer exclusion, LCU/LRT
+  a live machine through the probe bus, as the telemetry layer does
+  (the ``lcu``, ``lrt``, ``lock`` and ``net`` topics), and
+  continuously asserts reader-writer exclusion, LCU/LRT
   queue well-formedness (no cycles, no orphans, single head token) and
   leak freedom, raising structured :class:`InvariantViolation`\\ s that
   carry the event time and a window of recent protocol messages.

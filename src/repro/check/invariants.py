@@ -1,11 +1,11 @@
 """Continuous invariant monitoring for lock-protocol simulations.
 
-The :class:`InvariantMonitor` attaches to a machine through the same
-hooks the telemetry layer uses — an engine probe
-(:meth:`repro.sim.engine.Simulator.add_probe`) and the ``lcu``, ``lrt``
-and ``lock`` topics of the probe bus (:mod:`repro.sim.bus`) — so every
-grant, transfer, timeout and software-level acquire/release is visible
-to it while the simulation runs.  Any breach raises a structured
+The :class:`InvariantMonitor` is a subscriber of the probe bus
+(:mod:`repro.sim.bus`), as the telemetry layer is: the ``lock`` topic
+shows it every software-level request, acquire and release, the ``lcu``
+and ``lrt`` topics every grant timeout, eviction and lease reclaim, and
+the ``net`` topic every lock-protocol message, after whose delivery it
+audits the LCU/LRT queues.  Any breach raises a structured
 :class:`InvariantViolation` carrying the invariant name, the event time
 and a window of the most recent protocol messages (captured with a
 bounded :class:`repro.obs.spans.Tracer` on the ``net`` topic).
@@ -27,17 +27,27 @@ Invariants checked:
                     (:func:`check_quiescent` — what the test suite's
                     ``drain_and_check`` has become).
 
-:class:`ExclusionTracker` is the reusable exclusion-state core; the test
-suite's historical ``RWTracker`` is now a thin alias of it, so the tests
-and the production monitor share one definition of "correct".
+The monitor reads exclusion off each lock's
+:class:`~repro.sim.bus.LockTable`; :class:`ExclusionTracker` keeps the
+same check as counters for tests that track critical sections from
+inside thread programs (the test suite's ``RWTracker``), and both use
+one definition of "correct".
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional
 
+from repro.lcu import messages
 from repro.lcu.entry import ACQ, RCV, WAIT
 from repro.obs.spans import Tracer
+
+#: the lock-protocol messages: every record of :mod:`repro.lcu.messages`
+#: that names a lock address (all but the ``Heartbeat`` beacon)
+_LOCK_MESSAGES = frozenset(
+    cls for cls in vars(messages).values()
+    if isinstance(cls, type) and "addr" in getattr(cls, "_fields", ())
+)
 
 
 class InvariantViolation(RuntimeError):
@@ -104,58 +114,55 @@ class LivenessViolation(InvariantViolation):
         )
 
 
+def _exclusion_problem(readers: int, writers: int, write: bool,
+                      enter: bool) -> Optional[str]:
+    """What is wrong with a ``write``/read critical section beginning
+    (``enter``) or ending while ``readers`` and ``writers`` are inside,
+    or None."""
+    if not enter:
+        if (writers if write else readers) <= 0:
+            who = "writer" if write else "reader"
+            return f"{who} exit without matching enter"
+    elif write and (readers or writers):
+        return f"writer entered with r={readers} w={writers}"
+    elif not write and writers:
+        return f"reader entered with w={writers}"
+    return None
+
+
 class ExclusionTracker:
-    """Reader-writer exclusion state for one lock.
+    """Reader-writer exclusion counters for one lock, for tests that
+    check exclusion from inside thread programs.  Breaches are appended
+    to :attr:`violations`, worded as the :class:`InvariantMonitor`
+    words them."""
 
-    ``enter``/``exit`` are called as critical sections begin and end;
-    breaches are appended to :attr:`violations` and reported through
-    ``on_violation`` (if given) so a monitor can raise immediately with
-    context.  This is the single definition of RW exclusion shared by
-    the production monitor and the test suite.
-    """
-
-    def __init__(
-        self, on_violation: Optional[Callable[[str], None]] = None
-    ) -> None:
+    def __init__(self) -> None:
         self.readers = 0
         self.writers = 0
         self.max_readers = 0
         self.total = 0
         self.violations: List[str] = []
-        self._on_violation = on_violation
 
-    def _violate(self, message: str) -> None:
-        self.violations.append(message)
-        if self._on_violation is not None:
-            self._on_violation(message)
+    def _check(self, write: bool, enter: bool) -> None:
+        problem = _exclusion_problem(self.readers, self.writers, write, enter)
+        if problem is not None:
+            self.violations.append(problem)
 
     def enter(self, write: bool) -> None:
+        self._check(write, enter=True)
         if write:
-            if self.readers or self.writers:
-                self._violate(
-                    f"writer entered with r={self.readers} w={self.writers}"
-                )
             self.writers += 1
         else:
-            if self.writers:
-                self._violate(f"reader entered with w={self.writers}")
             self.readers += 1
             self.max_readers = max(self.max_readers, self.readers)
 
     def exit(self, write: bool) -> None:
+        self._check(write, enter=False)
         if write:
-            if self.writers <= 0:
-                self._violate("writer exit without matching enter")
             self.writers -= 1
         else:
-            if self.readers <= 0:
-                self._violate("reader exit without matching enter")
             self.readers -= 1
         self.total += 1
-
-    @property
-    def clean(self) -> bool:
-        return not self.violations and self.readers == 0 and self.writers == 0
 
     def assert_clean(self) -> None:
         assert not self.violations, self.violations
@@ -184,8 +191,8 @@ def audit_lcu_queues(machine, strict: bool = False) -> List[str]:
     exclusion, counter sanity); strict mode additionally requires full
     quiescence — no LCU entries and no live LRT locks at all.
 
-    The live monitor runs this every few dozen events while only a
-    handful of units hold state, so empty units are skipped, and the
+    The live monitor runs this after every lock-protocol message while
+    only a handful of units hold state, so empty units are skipped, and the
     lists a problem's message names are built only once it is found.
     """
     problems: List[str] = []
@@ -343,13 +350,17 @@ class InvariantMonitor:
         mon.finish()        # quiescent + oracle end-state checks
         mon.detach()
 
-    ``audit_stride`` controls how often (in processed events) the
-    structural queue audit runs; the software-level exclusion and oracle
-    checks run on every lock event regardless.  ``span_tracer`` — if a
-    :class:`repro.obs.SpanTracer` is recording the run, open spans are
-    flushed (closed at violation time), not dropped, before an
-    :class:`InvariantViolation` propagates, so the trace of a failing
-    run is complete up to the failure.
+    Exclusion and the oracle checks run on every ``lock`` event.  The
+    structural queue audit (:meth:`_probe`) is the ``net`` delivery
+    continuation of every lock-protocol message, so it runs right after
+    the destination LCU or LRT handled it.  :attr:`oracles` holds the
+    one record per lock, keyed by ``LockTable.id``: for the hardware
+    locks, the address the ``lcu``/``lrt`` events carry.
+
+    ``span_tracer`` — if a :class:`repro.obs.SpanTracer` is recording
+    the run, open spans are flushed (closed at violation time), not
+    dropped, before an :class:`InvariantViolation` propagates, so the
+    trace of a failing run is complete up to the failure.
     """
 
     def __init__(
@@ -357,7 +368,6 @@ class InvariantMonitor:
         machine,
         algo=None,
         *,
-        audit_stride: int = 64,
         history: int = 32,
         overtake_bound: Optional[int] = None,
         span_tracer=None,
@@ -381,28 +391,29 @@ class InvariantMonitor:
         #: :meth:`on_crash` via ``OS.crash_hooks``)
         self._crashed_tids: set = set()
         #: gray-failure lease recovery (all three empty in unfaulted
-        #: runs — every hot-path use is truthiness-guarded).  A reclaim
-        #: era closing is reported by the LRT as a burst of "survivor"
-        #: events (buffered here per address) followed by one terminal
-        #: "fenced"/"reclaim" event; see :meth:`_era_closed`.
+        #: runs — every hot-path use is truthiness-guarded; keyed by
+        #: lock id).  A reclaim era closing is reported by the LRT as a
+        #: burst of "survivor" events (buffered here per address)
+        #: followed by one terminal "fenced"/"reclaim" event; see
+        #: :meth:`_era_closed`.
         self._survivor_buf: Dict[int, set] = {}
         #: fencing armed: tids whose hold was voided by a fenced
         #: reclaim — their eventual stale release event is consumed
-        #: (the protocol fenced it; the shadow must not double-exit)
+        #: (the protocol fenced it; the table dropped the hold at era
+        #: close)
         self._fenced_voided: Dict[Any, set] = {}
         #: sabotage mode (fencing off): stale holders the protocol
         #: reclaimed *without* fencing, tid -> write.  A conflicting
         #: later acquire proves the zombie-writer hole.
         self._reclaimed: Dict[Any, Dict[int, bool]] = {}
-        self.audit_stride = max(1, audit_stride)
         self.history = history
         self.overtake_bound = overtake_bound
         self.span_tracer = span_tracer
         self._oracle_cls = RWLockOracle
         self._ring: Optional[Tracer] = None
         self._attached = False
-        self._events_seen = 0
-        self.trackers: Dict[Any, ExclusionTracker] = {}
+        #: lock id -> the lock's oracle (its ``table`` is the lock's
+        #: :class:`~repro.sim.bus.LockTable`)
         self.oracles: Dict[Any, Any] = {}
         self.stats: Dict[str, int] = {
             "lock_events": 0, "hw_events": 0, "audits": 0,
@@ -414,24 +425,24 @@ class InvariantMonitor:
         if self._attached:
             return self
         self._ring = Tracer.attach(self.machine, capacity=self.history)
-        sim = self.machine.sim
-        sim.add_probe(self._probe)
-        sim.bus.lcu.append(self._on_hw_event)
-        sim.bus.lrt.append(self._on_hw_event)
+        bus = self.machine.sim.bus
+        bus.net.append(self._on_send)
+        bus.lcu.append(self._on_hw_event)
+        bus.lrt.append(self._on_hw_event)
         if self.algo is not None:
-            sim.bus.lock.append(self._on_lock_event)
+            bus.lock.append(self._on_lock_event)
         self._attached = True
         return self
 
     def detach(self) -> None:
         if not self._attached:
             return
-        sim = self.machine.sim
-        sim.remove_probe(self._probe)
-        sim.bus.lcu.remove(self._on_hw_event)
-        sim.bus.lrt.remove(self._on_hw_event)
+        bus = self.machine.sim.bus
+        bus.net.remove(self._on_send)
+        bus.lcu.remove(self._on_hw_event)
+        bus.lrt.remove(self._on_hw_event)
         if self.algo is not None:
-            sim.bus.lock.remove(self._on_lock_event)
+            bus.lock.remove(self._on_lock_event)
         if self._ring is not None:
             self._ring.detach()
             self._ring = None
@@ -477,55 +488,48 @@ class InvariantMonitor:
         """Crash hook (wired to ``OS.crash_hooks`` by fault harnesses):
         ``thread`` died in an injected crash.  Its holds are released on
         its behalf at the protocol level (LCU purge / queue revocation),
-        so the software-level shadow must drop them too — otherwise the
-        tracker and oracle would report a phantom holder, and a grant to
-        the next waiter would look like an exclusion breach."""
-        tid = thread.tid
-        self._crashed_tids.add(tid)
-        for handle, oracle in self.oracles.items():
-            write = oracle.table.holders.get(tid)
-            if write is not None:
-                tracker = self.trackers.get(handle)
-                if tracker is not None:
-                    tracker.exit(write)
-            oracle.crash(tid, self.machine.sim.now)
+        so each lock's table must drop them too — otherwise the oracle
+        would report a phantom holder, and a grant to the next waiter
+        would look like an exclusion breach."""
+        self._crashed_tids.add(thread.tid)
+        for oracle in self.oracles.values():
+            oracle.crash(thread.tid, self.machine.sim.now)
 
     # -- hooks ----------------------------------------------------------- #
 
     def _oracle_for(self, lock):
-        handle = lock.handle
-        oracle = self.oracles.get(handle)
+        oracle = self.oracles.get(lock.id)
         if oracle is None:
             fair = bool(self.algo is not None and self.algo.fair)
             oracle = self._oracle_cls(
                 fair=fair,
                 overtake_bound=self.overtake_bound,
-                on_violation=lambda msg, h=handle: self._violate(
+                on_violation=lambda msg, h=lock.handle: self._violate(
                     "fairness", msg, handle=h
                 ),
             )
             oracle.table = lock
-            self.oracles[handle] = oracle
+            self.oracles[lock.id] = oracle
         return oracle
+
+    def _check_exclusion(self, lock, write: bool, enter: bool) -> None:
+        """:func:`_exclusion_problem` against ``lock``'s holders."""
+        writers = sum(lock.holders.values())
+        readers = len(lock.holders) - writers
+        problem = _exclusion_problem(readers, writers, write, enter)
+        if problem is not None:
+            self._violate("rw_exclusion", problem, handle=lock.handle)
 
     def _on_lock_event(self, event: str, lock, tid: int,
                        write: bool) -> None:
         self.stats["lock_events"] += 1
         now = self.machine.sim.now
-        handle = lock.handle
-        tracker = self.trackers.get(handle)
-        if tracker is None:
-            tracker = self.trackers[handle] = ExclusionTracker(
-                on_violation=lambda msg, h=handle: self._violate(
-                    "rw_exclusion", msg, handle=h
-                )
-            )
         oracle = self._oracle_for(lock)
         if event == "request":
             oracle.check_request(tid, write, now)
         elif event == "acquire":
             if self._reclaimed:
-                self._check_zombie(handle, tid, write, now)
+                self._check_zombie(lock, tid, write, now)
             if self.liveness_bound is not None:
                 entry = lock.waiting.get(tid)
                 if entry is not None:
@@ -540,39 +544,38 @@ class InvariantMonitor:
                             f"{'write' if write else 'read'} grant "
                             f"(bound {self.liveness_bound}) after the "
                             "last fault",
-                            handle=handle, requested=entry[2],
+                            handle=lock.handle, requested=entry[2],
                             last_fault=self._last_fault_at(),
                         )
-            tracker.enter(write)
+            self._check_exclusion(lock, write, enter=True)
             oracle.check_acquire(tid, write, now,
                                  excused=self._frozen_tids(now))
         elif event == "release":
             if self._fenced_voided:
-                voided = self._fenced_voided.get(handle)
+                voided = self._fenced_voided.get(lock.id)
                 if voided is not None and tid in voided:
                     # The stale release of a hold a fenced reclaim
-                    # already voided: the protocol fenced it, the shadow
-                    # dropped it at era close — consume, don't double-exit.
+                    # already voided: the protocol fenced it, the table
+                    # dropped it at era close — consume, don't re-check.
                     voided.discard(tid)
                     return
             if self._reclaimed:
-                stale = self._reclaimed.get(handle)
+                stale = self._reclaimed.get(lock.id)
                 if stale is not None:
                     # Sabotage mode: the zombie released before anyone
                     # conflicted — the hole closed unobserved this time.
                     stale.pop(tid, None)
-            tracker.exit(write)
+            self._check_exclusion(lock, write, enter=False)
             oracle.check_release(tid, write, now)
         elif event == "abandon":
             oracle.check_abandon(tid, now)
 
-    def _check_zombie(self, handle: Any, tid: int, write: bool,
-                      now: int) -> None:
+    def _check_zombie(self, lock, tid: int, write: bool, now: int) -> None:
         """An acquire is being granted while unfenced stale holders from
         a lease reclaim exist (sabotage mode).  A conflicting grant —
         any grant over a stale writer, or a write grant over any stale
         holder — is the zombie-writer exclusion hole fencing closes."""
-        stale = self._reclaimed.get(handle)
+        stale = self._reclaimed.get(lock.id)
         if not stale:
             return
         others = {t: w for t, w in stale.items() if t != tid}
@@ -585,7 +588,7 @@ class InvariantMonitor:
                 f"while zombie holder(s) {sorted(others)} from an "
                 "unfenced lease reclaim may still be in their critical "
                 "sections",
-                handle=handle,
+                handle=lock.handle,
                 zombies={t: ("W" if w else "R") for t, w in others.items()},
             )
 
@@ -633,47 +636,40 @@ class InvariantMonitor:
             oracle = self.oracles.get(addr)
             if oracle is not None:
                 oracle.grant_timeout()
-            else:
-                # handle is not the raw address for this algorithm:
-                # credit every lock (conservative — never a false alarm)
-                for oracle in self.oracles.values():
-                    oracle.grant_timeout()
 
     def _era_closed(self, addr: int, victim_tid: int, victim_write: bool,
                     survivors: set, fenced: bool) -> None:
         """A lease reclaim of ``addr`` completed its reset handshake.
         ``survivors`` are the holds the handshake confirmed live; any
-        other holder the shadow still tracks is a zombie whose hold the
-        protocol revoked.  With fencing armed the zombie's token is dead
-        — drop its hold from the shadow and earmark its stale release
-        for consumption.  In sabotage mode nothing protects the next
-        grant from it: record it so a conflicting acquire raises the
-        ``zombie_writer`` violation.
-
-        Only an oracle keyed directly by the address is touched: voiding
-        is destructive, and software algorithms (whose handles are not
-        addresses) never produce these events in the first place.
+        other holder the lock's table still lists is a zombie whose
+        hold the protocol revoked.  With fencing armed the zombie's
+        token is dead — drop its hold from the table and earmark its
+        stale release for consumption.  In sabotage mode nothing
+        protects the next grant from it: record it so a conflicting
+        acquire raises the ``zombie_writer`` violation.
         """
         oracle = self.oracles.get(addr)
         if oracle is None:
             return
         now = self.machine.sim.now
-        tracker = self.trackers.get(addr)
         for tid, write in list(oracle.table.holders.items()):
             if tid in survivors or tid in self._crashed_tids:
                 continue
             if fenced:
-                if tracker is not None:
-                    tracker.exit(write)
                 oracle.fence(tid, now)
                 self._fenced_voided.setdefault(addr, set()).add(tid)
             else:
                 self._reclaimed.setdefault(addr, {})[tid] = write
 
+    def _on_send(self, src, dst, payload) -> Optional[Callable[[], None]]:
+        """Audit after each lock-protocol message is handled."""
+        if type(payload) in _LOCK_MESSAGES:
+            return self._probe
+        return None
+
     def _probe(self) -> None:
-        self._events_seen += 1
-        if self._events_seen % self.audit_stride:
-            return
+        if not self._attached:
+            return      # a message sent before detach() landed after it
         self.stats["audits"] += 1
         problems = audit_lcu_queues(self.machine, strict=False)
         if problems:
@@ -686,25 +682,27 @@ class InvariantMonitor:
     # -- end of run ------------------------------------------------------ #
 
     def finish(self, max_cycles: int = 200_000) -> None:
-        """End-of-run verdict: quiescent machine state plus oracle and
-        tracker end-state (no holder left, nothing still waiting)."""
+        """End-of-run verdict: quiescent machine state plus the end
+        state of every lock (no holder left, nothing still waiting)."""
         try:
             check_quiescent(self.machine, max_cycles)
         except InvariantViolation:
             if self.span_tracer is not None:
                 self.span_tracer.flush_open()
             raise
-        for handle, tracker in self.trackers.items():
-            if not tracker.clean:
+        for oracle in self.oracles.values():
+            holders = oracle.table.holders
+            if holders:
+                writers = sum(holders.values())
                 self._violate(
                     "rw_exclusion",
-                    f"end state not clean: r={tracker.readers} "
-                    f"w={tracker.writers} violations={tracker.violations}",
-                    handle=handle,
+                    f"end state not clean: r={len(holders) - writers} "
+                    f"w={writers}",
+                    handle=oracle.table.handle,
                 )
         if self.liveness_bound is not None:
             now = self.machine.sim.now
-            for handle, oracle in self.oracles.items():
+            for oracle in self.oracles.values():
                 waiting = oracle.table.waiting
                 for tid, (_seq, write, req_time) in waiting.items():
                     if tid in self._crashed_tids:
@@ -716,10 +714,11 @@ class InvariantMonitor:
                             f"{'write' if write else 'read'} grant "
                             f"{now - start} cycles after the last fault "
                             f"(bound {self.liveness_bound})",
-                            handle=handle, requested=req_time,
+                            handle=oracle.table.handle, requested=req_time,
                             last_fault=self._last_fault_at(),
                         )
-        for handle, oracle in self.oracles.items():
+        for oracle in self.oracles.values():
             leftover = oracle.end_state_problems()
             if leftover:
-                self._violate("oracle", leftover[0], handle=handle)
+                self._violate("oracle", leftover[0],
+                              handle=oracle.table.handle)

@@ -67,7 +67,9 @@ class Simulator:
     ``dispatch`` (when set to ``fn(now, event)``) is called in place of
     every ``event()``, and must call ``event()`` itself.  The
     differential tests record the dispatch order through it.  Unset, it
-    costs one None-check per event.
+    costs one None-check per event.  It is the loop's only per-event
+    hook: observers, the invariant monitor included, attach to the
+    model's events on ``bus`` (:mod:`repro.sim.bus`).
     """
 
     def __init__(self, tiebreak_seed: Optional[int] = None) -> None:
@@ -81,7 +83,6 @@ class Simulator:
         # in the ``_keys`` min-heap and once in ``_events`` (key -> fn)
         self._keys: List[int] = []
         self._events: Dict[int, Callable[[], None]] = {}
-        self._probes: List[Callable[[], None]] = []
         #: subscriptions to the events of the hardware models and the
         #: lock algorithms (see :mod:`repro.sim.bus`)
         self.bus = ProbeBus()
@@ -179,7 +180,6 @@ class Simulator:
         keys = self._keys
         events = self._events
         pop_event = events.pop
-        probes = self._probes
         dispatch = self.dispatch
         shift = _SEQ_BITS if self._tiebreak is None else _SEQ_BITS + _DRAW_BITS
         pop_key = heapq.heappop
@@ -208,9 +208,6 @@ class Simulator:
                 else:
                     dispatch(t, fn)
                 processed += 1
-                if probes:
-                    for probe in probes:
-                        probe()
         finally:
             self._running = False
             self._queue_depth_sum += depth_sum
@@ -263,24 +260,6 @@ class Simulator:
             "signal_cancels": self.signal_cancels,
             "signal_fires": self.signal_fires,
         }
-
-    # ------------------------------------------------------------------ #
-    # probes
-
-    def add_probe(self, fn: Callable[[], None]) -> None:
-        """Register ``fn`` to run after every processed event.  Probes are
-        the pull-based hook invariant monitors attach to
-        (:mod:`repro.check.invariants`); with none registered the event
-        loop pays a single falsy check per event."""
-        self._probes.append(fn)
-
-    def remove_probe(self, fn: Callable[[], None]) -> bool:
-        """Deregister a probe; returns whether it was registered."""
-        try:
-            self._probes.remove(fn)
-        except ValueError:
-            return False
-        return True
 
 
 class Signal:

@@ -93,6 +93,69 @@ def test_replay_is_deterministic():
     )
 
 
+def _audit_every_event(monkeypatch):
+    """The reference audit: every Machine built from here on audits its
+    LCU/LRT queues after every engine event, through
+    ``Simulator.dispatch``, and the monitor's own audit after each
+    lock-protocol delivery is switched off."""
+    import repro.cpu.machine as mach
+    from repro.check.invariants import InvariantMonitor, audit_lcu_queues
+
+    orig = mach.Machine.__init__
+
+    def init(self, *args, **kwargs):
+        orig(self, *args, **kwargs)
+
+        def dispatch(now, fn, machine=self):
+            fn()
+            problems = audit_lcu_queues(machine)
+            if problems:
+                raise InvariantViolation("queue_shape", problems[0],
+                                         time=now)
+
+        self.sim.dispatch = dispatch
+
+    monkeypatch.setattr(mach.Machine, "__init__", init)
+    monkeypatch.setattr(InvariantMonitor, "_on_send",
+                        lambda self, src, dst, payload: None)
+
+
+def _case_verdict(case):
+    v = run_case(case).violation
+    return None if v is None else (v.invariant, v.message, v.time)
+
+
+def _cell_verdict(algo, model, fault, seed):
+    from repro.faults.nemesis import run_cell
+
+    cell = run_cell(algo, model, fault, seed)
+    return cell.outcome, cell.detail, cell.elapsed
+
+
+@pytest.mark.parametrize("fname", sorted(DATA.glob("check_repro_*.json")),
+                         ids=lambda p: p.stem)
+def test_delivery_audit_matches_every_event_audit_on_corpus(fname):
+    """Auditing after each lock-protocol message finds the same first
+    problem at the same cycle as auditing after every engine event."""
+    case = load_case(fname)
+    delivery = _case_verdict(case)
+    with pytest.MonkeyPatch.context() as mp:
+        _audit_every_event(mp)
+        assert _case_verdict(case) == delivery
+
+
+@pytest.mark.faults
+@pytest.mark.parametrize("cell", [
+    ("lcu", "A", "evict", 0),           # clean, with forced evictions
+    ("lcu", "A", "zombie_core", 32),    # a queue cycle at 107,154
+], ids=lambda c: "/".join(map(str, c)))
+def test_delivery_audit_matches_every_event_audit_on_nemesis(cell):
+    delivery = _cell_verdict(*cell)
+    with pytest.MonkeyPatch.context() as mp:
+        _audit_every_event(mp)
+        assert _cell_verdict(*cell) == delivery
+
+
 def test_save_load_round_trip(tmp_path):
     case = FuzzCase(
         algo="lcu", model="B", seed=123, threads=5, locks=2, iters=7,

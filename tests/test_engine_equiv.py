@@ -51,8 +51,8 @@ class HeapSimulator(Simulator):
     """The original event store: one heapq of ``(cycle, key, seq,
     fn)`` tuples, where ``key`` is the schedule sequence number (stable
     order) or a 30-bit draw from the tiebreak RNG (seeded order).  Same
-    clock, stop and probe semantics as :meth:`Simulator.run`, written
-    the obvious way."""
+    clock and stop semantics as :meth:`Simulator.run`, written the
+    obvious way."""
 
     def __init__(self, tiebreak_seed=None):
         super().__init__(tiebreak_seed)
@@ -96,8 +96,6 @@ class HeapSimulator(Simulator):
                 else:
                     self.dispatch(time, fn)
                 processed += 1
-                for probe in self._probes:
-                    probe()
         finally:
             self._running = False
             self._events_processed += processed

@@ -196,6 +196,57 @@ class TestFailureDetector:
         )
 
 
+@pytest.fixture
+def monitor_spy(monkeypatch):
+    """Record what every InvariantMonitor a run attaches does with its
+    ``lrt`` events: each era close (and whether the closed address has
+    a lock record) and how many ``timeout``/``evict`` events arrived."""
+    from repro.check.invariants import InvariantMonitor
+
+    log = {"monitors": [], "era_hits": [], "credits_due": 0}
+    attach = InvariantMonitor.attach
+    era_closed = InvariantMonitor._era_closed
+    on_hw_event = InvariantMonitor._on_hw_event
+
+    def spy_attach(self):
+        log["monitors"].append(self)
+        return attach(self)
+
+    def spy_era_closed(self, addr, *args, **kwargs):
+        log["era_hits"].append(addr in self.oracles)
+        return era_closed(self, addr, *args, **kwargs)
+
+    def spy_on_hw_event(self, event, addr, tid, write):
+        if event in ("timeout", "evict"):
+            log["credits_due"] += 1
+        return on_hw_event(self, event, addr, tid, write)
+
+    monkeypatch.setattr(InvariantMonitor, "attach", spy_attach)
+    monkeypatch.setattr(InvariantMonitor, "_era_closed", spy_era_closed)
+    monkeypatch.setattr(InvariantMonitor, "_on_hw_event", spy_on_hw_event)
+    return log
+
+
+class TestOneRecordPerLock:
+    """``lcu_fb``'s handle is a tuple, but its lock id is the LCU
+    address the ``lrt`` events carry: an era close must reach the
+    closed lock's record, and a grant timeout or eviction must widen
+    the overtake budget of the one lock it names, not of every lock."""
+
+    @pytest.mark.parametrize("fault", ["zombie_core", "crash_core", "evict"])
+    def test_lcu_fb_lrt_events_reach_their_lock(self, monitor_spy, fault):
+        cell = run_cell("lcu_fb", "A", fault, seed=3)
+        assert cell.outcome != "violated", cell.detail
+        (monitor,) = monitor_spy["monitors"]
+        assert len(monitor.oracles) == 2
+        assert monitor_spy["era_hits"], "the cell must close an era"
+        assert all(monitor_spy["era_hits"])
+        assert monitor_spy["credits_due"] > 0
+        assert sum(
+            o.timeout_credits for o in monitor.oracles.values()
+        ) == monitor_spy["credits_due"]
+
+
 class TestFencingSabotage:
     """PR 7-style proof that the fences earn their keep: the same
     zombie plan recovers with fencing armed and provably violates the

@@ -123,7 +123,6 @@ class TestEverySinkAtOnce:
 
         assert (elapsed, counters) == _bare_run(lock, model)
         assert _bus_empty(machine)
-        assert machine.sim._probes == []
         # every sink saw the run
         assert sinks.monitor.stats["lock_events"] > 0
         assert sinks.profiler.to_dict()["locks"]
