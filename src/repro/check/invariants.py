@@ -7,8 +7,8 @@ and ``lrt`` topics every grant timeout, eviction and lease reclaim, and
 the ``net`` topic every lock-protocol message, after whose delivery it
 audits the LCU/LRT queues.  Any breach raises a structured
 :class:`InvariantViolation` carrying the invariant name, the event time
-and a window of the most recent protocol messages (captured with a
-bounded :class:`repro.obs.spans.Tracer` on the ``net`` topic).
+and a window of the most recent lock-protocol messages (a bounded ring
+the monitor's own ``net`` subscriber fills; heartbeats stay out of it).
 
 Invariants checked:
 
@@ -36,11 +36,12 @@ one definition of "correct".
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+import collections
+from typing import Any, Callable, Deque, Dict, List, Optional
 
 from repro.lcu import messages
 from repro.lcu.entry import ACQ, RCV, WAIT
-from repro.obs.spans import Tracer
+from repro.obs.spans import TraceRecord
 
 #: the lock-protocol messages: every record of :mod:`repro.lcu.messages`
 #: that names a lock address (all but the ``Heartbeat`` beacon)
@@ -321,7 +322,14 @@ def check_quiescent(machine, max_cycles: int = 200_000) -> None:
     """Settle in-flight traffic, then assert the machine is fully clean:
     no leaked LCU entries, no live LRT locks, structurally sane queues.
     Raises :class:`InvariantViolation` — the production form of the test
-    suite's historical ``drain_and_check``."""
+    suite's historical ``drain_and_check``.
+
+    The settling is :meth:`Machine.drain`: on a hardened machine it
+    ends at the first heartbeat-wave boundary at which the lock
+    machinery is idle (this audit's strict condition, plus an empty
+    wire and a spent fault plan), so a clean machine is judged within
+    one heartbeat interval, while one with leaked state drains the full
+    ``max_cycles`` and is judged at the cap's cycle."""
     machine.drain(max_cycles)
     machine.check_lock_invariants()
     problems = audit_lcu_queues(machine, strict=True)
@@ -410,7 +418,8 @@ class InvariantMonitor:
         self.overtake_bound = overtake_bound
         self.span_tracer = span_tracer
         self._oracle_cls = RWLockOracle
-        self._ring: Optional[Tracer] = None
+        #: the last ``history`` lock-protocol sends, for violations
+        self._ring: Deque[TraceRecord] = collections.deque(maxlen=history)
         self._attached = False
         #: lock id -> the lock's oracle (its ``table`` is the lock's
         #: :class:`~repro.sim.bus.LockTable`)
@@ -424,7 +433,6 @@ class InvariantMonitor:
     def attach(self) -> "InvariantMonitor":
         if self._attached:
             return self
-        self._ring = Tracer.attach(self.machine, capacity=self.history)
         bus = self.machine.sim.bus
         bus.net.append(self._on_send)
         bus.lcu.append(self._on_hw_event)
@@ -443,17 +451,12 @@ class InvariantMonitor:
         bus.lrt.remove(self._on_hw_event)
         if self.algo is not None:
             bus.lock.remove(self._on_lock_event)
-        if self._ring is not None:
-            self._ring.detach()
-            self._ring = None
         self._attached = False
 
     # -- violation plumbing --------------------------------------------- #
 
     def recent_events(self) -> List[str]:
-        if self._ring is None:
-            return []
-        return [r.render() for r in self._ring.records]
+        return [r.render() for r in self._ring]
 
     def _violate(self, invariant: str, message: str, **details: Any) -> None:
         if self.span_tracer is not None:
@@ -662,8 +665,12 @@ class InvariantMonitor:
                 self._reclaimed.setdefault(addr, {})[tid] = write
 
     def _on_send(self, src, dst, payload) -> Optional[Callable[[], None]]:
-        """Audit after each lock-protocol message is handled."""
+        """Record each lock-protocol message in the window, and audit
+        after it is handled."""
         if type(payload) in _LOCK_MESSAGES:
+            self._ring.append(
+                TraceRecord(self.machine.sim.now, src, dst, payload)
+            )
             return self._probe
         return None
 

@@ -13,6 +13,8 @@ Endpoints on the interconnect:
 
 from __future__ import annotations
 
+from typing import Callable
+
 from repro.lcu import messages as lcu_msgs
 from repro.lcu.lcu import LockControlUnit, ProtocolError
 from repro.lcu.lrt import LockReservationTable
@@ -82,6 +84,13 @@ class Machine:
         self.ssb = SSB(self.sim, config, self.net)
         #: set by :meth:`harden`: the units are recovering ones
         self.hardened = False
+        #: set by an armed fault injector: ``fn() -> bool``, true once
+        #: its plan has nothing left to do (see :meth:`lock_machinery_idle`)
+        self.fault_plan_spent: "Callable[[], bool] | None" = None
+        # heartbeat interval and the cycle the ticks count from: a
+        # hardened drain checks for idle on the cycle before each wave
+        self._beat_interval = 5_000
+        self._beat_phase = 0
 
     # ------------------------------------------------------------------ #
 
@@ -109,8 +118,66 @@ class Machine:
 
     def drain(self, max_cycles: int = 200_000) -> None:
         """Let in-flight protocol traffic settle (bounded, so stale OS
-        slice timers parked far in the future do not advance the clock)."""
-        self.sim.run(until=self.sim.now + max_cycles)
+        slice timers parked far in the future do not advance the clock).
+
+        A hardened machine never runs out of events: its LRT watchdog
+        and heartbeat ticks re-arm forever, so its drain would always
+        run to the cap.  It stops early instead, at the first check at
+        which :meth:`lock_machinery_idle` holds.  The checks fall once
+        per heartbeat interval, on the cycle before a heartbeat wave
+        starts, so the previous wave has left the wire.  From an idle
+        check on, the rest of the drain would run only heartbeats and
+        watchdog ticks that find no lock to act on, so stopping there
+        leaves every verdict, lock and LCU/LRT counter as the full drain
+        would; only the clock and the event, message and datagram
+        totals differ.  A machine that never reaches idle runs to the
+        cap."""
+        sim = self.sim
+        end = sim.now + max_cycles
+        if not self.hardened:
+            sim.run(until=end)
+            return
+        stride = self._beat_interval
+        check = sim.now + (self._beat_phase - sim.now) % stride
+        while check < end:
+            sim.run(until=check)
+            if self.lock_machinery_idle():
+                return
+            check += stride
+        sim.run(until=end)
+
+    def lock_machinery_idle(self) -> bool:
+        """Nothing is left for the lock machinery to do:
+
+        * **lock state is gone** — no LCU entry, and no live LRT lock
+          (so no reset in progress, which keeps its entry until every
+          LCU acks).  A lock parked in a Free Lock Table is the one
+          exception, as in the strict quiescence audit
+          (:func:`repro.check.invariants.audit_lcu_queues`);
+        * **nothing is left on the wire** — no message in the fabric or
+          held back by a fault-injected delay, and no reliable-layer
+          frame waiting for its ack;
+        * **the fault plan is spent** — :attr:`fault_plan_spent`, if an
+          injector set it, holds.
+
+        Cheap enough for the drain's checks; never read on a send."""
+        for lcu in self.lcus:
+            if lcu._entries:
+                return False
+        if any(lrt._live for lrt in self.lrts):
+            parked = set()
+            for lcu in self.lcus:
+                parked.update(lcu._flt)
+            for lrt in self.lrts:
+                for entries in (*lrt._sets.values(), lrt._overflow):
+                    if not parked.issuperset(entries):
+                        return False
+        net = self.net
+        if net.in_flight():
+            return False
+        if net.reliable is not None and net.reliable.pending_frames():
+            return False
+        return self.fault_plan_spent is None or self.fault_plan_spent()
 
     def harden(
         self, watchdog_interval: int = 20_000,
@@ -148,6 +215,8 @@ class Machine:
         if getattr(self, "_heartbeats_on", False):
             return
         self._heartbeats_on = True
+        self._beat_interval = interval
+        self._beat_phase = self.sim.now
         for lrt in self.lrts:
             lrt.enable_failure_detector(interval)
         lrts = tuple(("lrt", j) for j in range(self.config.num_lrts))

@@ -140,6 +140,9 @@ class FaultInjector:
         #: post-fault recovery time is charged against recovery, not
         #: against the whole faulted run
         self.last_fault_at = 0
+        #: the plan's callbacks scheduled but not yet run (see
+        #: :meth:`plan_spent`)
+        self._scheduled = 0
         #: crash victim gate: ``fn(core) -> bool``, asked before every
         #: crash injection; None = crash unconditionally.  The check
         #: harness installs a policy-specific closure ("busy" for
@@ -156,6 +159,7 @@ class FaultInjector:
         assert not self._armed, "injector armed twice"
         self._armed = True
         self.machine.harden(fencing=self.fencing)
+        self.machine.fault_plan_spent = self.plan_spent
         sim = self.machine.sim
         if self.plan.needs_reliable():
             self.reliable = ReliableLayer(sim, self._link_covered)
@@ -169,8 +173,28 @@ class FaultInjector:
             if event.kind in MESSAGE_CLASSES or \
                     event.kind == "partition_links":
                 continue  # window-matched inside the filter
-            sim.at(max(event.at, sim.now + 1),
-                   lambda e=event: self._fire(e))
+            self._at(max(event.at, sim.now + 1),
+                     lambda e=event: self._fire(e))
+
+    def _at(self, time: int, fn) -> None:
+        """Schedule one of the plan's callbacks, counted until it runs."""
+        self._scheduled += 1
+
+        def run() -> None:
+            self._scheduled -= 1
+            fn()
+
+        self.machine.sim.at(time, run)
+
+    def plan_spent(self) -> bool:
+        """Nothing of the plan is left to happen: no plan event, crash
+        or zombie poll retry, zombie end, restart, capacity lift or
+        slow-core restore is still scheduled, and every wire window has
+        closed.  From then on the injector faults no frame, draws
+        nothing from its RNG and counts no injection — the fault side
+        of :meth:`Machine.lock_machinery_idle`."""
+        return (self._scheduled == 0
+                and self.machine.sim.now >= self._wire_end)
 
     def _link_covered(self, src: Endpoint, dst: Endpoint) -> bool:
         """The reliable layer's link predicate: does any wire event of
@@ -306,7 +330,7 @@ class FaultInjector:
             for lcu in self.machine.lcus:
                 lcu.set_forced_capacity(event.limit)
             self._count("capacity")
-            self.machine.sim.at(
+            self._at(
                 max(event.end, self.machine.sim.now + 1),
                 self._lift_capacity,
             )
@@ -325,7 +349,7 @@ class FaultInjector:
             self.os.set_core_slowdown(core, event.factor)
             self._count("slow_core")
             if event.duration:
-                self.machine.sim.at(
+                self._at(
                     max(event.end, self.machine.sim.now + 1),
                     lambda: self.os.set_core_slowdown(core, 1.0),
                 )
@@ -350,8 +374,8 @@ class FaultInjector:
                 break
         if victim is None:
             if attempts < _ZOMBIE_POLL_MAX:
-                self.machine.sim.after(
-                    _CRASH_POLL_INTERVAL,
+                self._at(
+                    self.machine.sim.now + _CRASH_POLL_INTERVAL,
                     lambda: self._try_zombie(event, attempts + 1),
                 )
                 return
@@ -372,7 +396,7 @@ class FaultInjector:
         self.os.stall_core(core, max(1, duration))
         self._zombie_until[("core", core)] = end
         self._count("zombie_core")
-        self.machine.sim.at(end, lambda: self._end_zombie(core, end))
+        self._at(end, lambda: self._end_zombie(core, end))
 
     def _end_zombie(self, core: int, end: int) -> None:
         ep = ("core", core)
@@ -396,8 +420,8 @@ class FaultInjector:
                     self.stats.get("crashes_skipped", 0) + 1
                 )
                 return
-            self.machine.sim.after(
-                _CRASH_POLL_INTERVAL,
+            self._at(
+                self.machine.sim.now + _CRASH_POLL_INTERVAL,
                 lambda: self._try_crash(event, attempts + 1),
             )
             return
@@ -417,8 +441,9 @@ class FaultInjector:
             self.reliable.bump_era(("core", core))
         self._count(event.kind)
         if event.kind == "restart_core":
-            self.machine.sim.after(
-                max(1, event.duration), lambda: self._execute_restart(core)
+            self._at(
+                self.machine.sim.now + max(1, event.duration),
+                lambda: self._execute_restart(core),
             )
 
     def _execute_restart(self, core: int) -> None:
@@ -439,7 +464,13 @@ class FaultInjector:
 
     def drain(self, step: int = 50_000, max_steps: int = 20) -> bool:
         """Let retransmissions and reclaim traffic settle after the
-        workload; returns True when no frame is left pending."""
+        workload; returns True when no frame is left pending.  Each step
+        is a :meth:`Machine.drain`, which returns at the first
+        heartbeat-wave boundary at which no lock state is left, the
+        wire is empty and :meth:`plan_spent` holds — so the first step
+        usually ends within one heartbeat interval and leaves nothing
+        pending.  A step that never reaches idle runs its full
+        ``step`` cycles."""
         for _ in range(max_steps):
             self.machine.drain(step)
             if self.reliable is None or self.reliable.pending_frames() == 0:

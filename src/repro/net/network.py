@@ -89,6 +89,7 @@ class _Transit:
     )
 
     def __init__(self, net: "Network") -> None:
+        net._transits += 1
         self.net = net
         self.sim = net._sim
         self.src: Any = None
@@ -170,9 +171,13 @@ class Network:
         # reliable-delivery layer (repro.net.reliable); None == raw wire
         self._reliable = None
 
-        # Resolved (src, dst) -> Route cache and the transit free list.
+        # Resolved (src, dst) -> Route cache and the transit free list;
+        # frames ever built, so the ones out of the pool are in flight
         self._routes: Dict[Tuple[Endpoint, Endpoint], Route] = {}
         self._transit_pool: list = []
+        self._transits = 0
+        #: copies a fault-injected delay holds back from the fabric
+        self._delayed = 0
 
         # Per-(src, dst) FIFO enforcement (tiebreak runs only — see
         # module docstring): fabric-entry stamps, the next stamp each
@@ -298,13 +303,25 @@ class Network:
                 self.fault_filter(src, dst, payload)
             ):
                 if extra_delay > 0:
+                    self._delayed += 1
                     self._sim.after(
                         extra_delay,
-                        lambda c=copy: self._transmit(src, dst, c, on_deliver),
+                        lambda c=copy: self._transmit_delayed(
+                            src, dst, c, on_deliver),
                     )
                 else:
                     self._transmit(src, dst, copy, on_deliver)
             return
+        self._transmit(src, dst, payload, on_deliver)
+
+    def _transmit_delayed(
+        self,
+        src: Endpoint,
+        dst: Endpoint,
+        payload: Any,
+        on_deliver: Optional[Callable[[], None]],
+    ) -> None:
+        self._delayed -= 1
         self._transmit(src, dst, payload, on_deliver)
 
     def _transmit(
@@ -424,6 +441,14 @@ class Network:
 
     # ------------------------------------------------------------------ #
     # introspection used by the harness and the telemetry layer
+
+    def in_flight(self) -> int:
+        """Messages sent but not yet handed to their handler: transit
+        frames out of the free list (held back by the FIFO stage
+        included) plus copies a fault-injected delay holds.  Costs the
+        send path nothing: frames are counted when built, not per
+        message."""
+        return self._transits - len(self._transit_pool) + self._delayed
 
     def fabric_servers(self):
         """Yield ``(group, label, Server)`` for every fabric resource —
