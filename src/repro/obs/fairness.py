@@ -218,7 +218,7 @@ class _LockState:
         "label", "table", "ledger", "alerted", "wait_hist",
         "per_thread", "grants", "abandons", "longest_wait",
         "slo_violations", "slo_excess", "slo_intervals", "slo_checked",
-        "alerts_total", "ssb_failed_acquires",
+        "alerts_total", "ssb_failed_acquires", "floor",
     )
 
     def __init__(self, table, reader_batch_exempt: bool) -> None:
@@ -228,6 +228,9 @@ class _LockState:
         self.ledger = OvertakeLedger(reader_batch_exempt=reader_batch_exempt)
         #: arrival seqs of the requests the watchdog already alerted on
         self.alerted: set = set()
+        #: at most the request time of every waiter not yet alerted on,
+        #: or None (unknown): the watchdog's scan skip
+        self.floor: Optional[int] = None
         self.wait_hist = {
             "read": Histogram(bucket_width=WAIT_BUCKET),
             "write": Histogram(bucket_width=WAIT_BUCKET),
@@ -315,14 +318,21 @@ class FairnessObservatory:
         self._locks: Dict[Any, _LockState] = {}
         self._ring: Optional[Tracer] = None
         self._machine = None
-        #: (sim time, tid, write) completions inside the sliding window
+        #: (sim time, tid, write) completions inside the sliding window,
+        #: and per tid and for writes their counts, kept as events enter
+        #: and leave so a gauge read does not walk the window
         self._window_events: deque = deque()
+        self._window_counts: Dict[int, int] = {}
+        self._window_writes = 0
 
     # -- attachment ----------------------------------------------------- #
 
     def attach_machine(self, machine) -> "FairnessObservatory":
         """Subscribe to the ``lock`` and ``ssb`` bus topics and install
-        the flight-recorder ring (a bounded network tracer)."""
+        the flight-recorder ring (a bounded network tracer).  Replaces
+        any previous attachment (one machine at a time): the first is
+        detached, final watchdog pass included."""
+        self.detach()
         self._machine = machine
         self._ring = Tracer.attach(machine, capacity=self.ring_capacity)
         bus = machine.sim.bus
@@ -373,7 +383,10 @@ class FairnessObservatory:
             st.ledger.clear(tid)
             st.ledger.note_grant(
                 tid, seq, bool(write), lock.waiting,
-                read_held=any(not w for w in lock.holders.values()),
+                # only a reader's grant consults it
+                read_held=not write and any(
+                    not w for w in lock.holders.values()
+                ),
             )
             wait = now - t_req
             mode = "write" if write else "read"
@@ -398,6 +411,10 @@ class FairnessObservatory:
                         merged = _merge_intervals(st.slo_intervals)
                         st.slo_intervals = merged
             self._window_events.append((now, tid, bool(write)))
+            counts = self._window_counts
+            counts[tid] = counts.get(tid, 0) + 1
+            if write:
+                self._window_writes += 1
             self._prune_window(now)
         elif event == "abandon":
             st.ledger.clear(tid)
@@ -418,11 +435,24 @@ class FairnessObservatory:
 
     def _check_starvation(self, st: _LockState, now: int,
                           skip: Optional[int]) -> None:
+        # Every waiter not yet alerted on requested at or after the
+        # floor: the last scan took the floor as their earliest request
+        # time, and an entry added or replaced since carries its table
+        # clock's later time.  So while the floor is within the bound,
+        # a scan would find nothing.  The entry ``skip`` names leaves or
+        # is replaced by this event, so it does not count.
+        floor = st.floor
+        if floor is not None and now - floor <= self.starvation_bound:
+            return
+        floor = None
         for tid, (seq, write, t_req) in st.table.waiting.items():
             if tid == skip or seq in st.alerted:
                 continue
             waited = now - t_req
-            if waited > self.starvation_bound:
+            if waited <= self.starvation_bound:
+                if floor is None or t_req < floor:
+                    floor = t_req
+            else:
                 st.alerted.add(seq)
                 st.alerts_total += 1
                 if st.alerts_total <= self.max_alert_details:
@@ -433,28 +463,34 @@ class FairnessObservatory:
                         waited=waited, t=now,
                         bound=self.starvation_bound, events=events,
                     ))
+        st.floor = floor
 
     # -- sliding window --------------------------------------------------- #
 
     def _prune_window(self, now: int) -> None:
         horizon = now - self.window
         evts = self._window_events
+        counts = self._window_counts
         while evts and evts[0][0] < horizon:
-            evts.popleft()
+            _t, tid, write = evts.popleft()
+            left = counts[tid] - 1
+            if left:
+                counts[tid] = left
+            else:
+                del counts[tid]
+            if write:
+                self._window_writes -= 1
 
     def window_jain(self) -> float:
-        """Jain index over per-thread completions in the current window."""
-        counts: Dict[int, int] = {}
-        for _t, tid, _w in self._window_events:
-            counts[tid] = counts.get(tid, 0) + 1
-        return jain_fairness(list(counts.values()))
+        """Jain index over per-thread completions in the current window
+        (integer counts, so their order does not change the index)."""
+        return jain_fairness(list(self._window_counts.values()))
 
     def window_writer_share(self) -> float:
         """Writer share of completions in the current window."""
         if not self._window_events:
             return 0.0
-        writes = sum(1 for _t, _tid, w in self._window_events if w)
-        return writes / len(self._window_events)
+        return self._window_writes / len(self._window_events)
 
     # -- export ---------------------------------------------------------- #
 

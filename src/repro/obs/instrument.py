@@ -29,6 +29,7 @@ Metric naming convention (see README "Observability"):
 
 from __future__ import annotations
 
+import functools
 from typing import Optional
 
 from repro.obs.registry import MetricsRegistry
@@ -40,6 +41,7 @@ def _sanitize(part: str) -> str:
     return out.strip("_") or "x"
 
 
+@functools.lru_cache(maxsize=4096)
 def _server_metric(group: str, label: str) -> str:
     """Metric-name prefix for one fabric server (``net.hub_out0``,
     ``net.access_core3``, ``net.root``)."""

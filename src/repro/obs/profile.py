@@ -184,6 +184,8 @@ class ContentionProfiler:
         self._locks: Dict[Any, _LockState] = {}
         self.max_timeline = max_timeline
         self.unmatched_probes = 0
+        #: endpoint -> its chip on the attached machine
+        self._chips: Dict[Any, int] = {}
 
     # ------------------------------------------------------------------ #
     # attachment
@@ -195,6 +197,7 @@ class ContentionProfiler:
         self.detach()
         self._machine = machine
         self._sim = machine.sim
+        self._chips = {}
         bus = machine.sim.bus
         bus.lock.append(self._on_algo_event)
         bus.lcu.append(self._on_lcu_probe)
@@ -324,6 +327,9 @@ class ContentionProfiler:
                 rec.t_grant_sent = now
 
     def _on_net_probe(self, src, dst, payload) -> None:
+        cls = type(payload)
+        if cls is tuple:
+            return              # a memory-system message: no lock address
         addr = getattr(payload, "addr", None)
         if addr is None:
             return
@@ -331,10 +337,16 @@ class ContentionProfiler:
         if st is None:
             return
         st.messages += 1
-        chip_of = self._machine._chip_of
-        if src != dst and chip_of(src) != chip_of(dst):
+        chips = self._chips
+        chip_src = chips.get(src)
+        if chip_src is None:
+            chip_src = chips[src] = self._machine._chip_of(src)
+        chip_dst = chips.get(dst)
+        if chip_dst is None:
+            chip_dst = chips[dst] = self._machine._chip_of(dst)
+        if src != dst and chip_src != chip_dst:
             st.inter_chip += 1
-        tname = type(payload).__name__
+        tname = cls.__name__
         st.msg_types[tname] = st.msg_types.get(tname, 0) + 1
 
     # ------------------------------------------------------------------ #

@@ -113,6 +113,14 @@ class MetricsRegistry:
         self.series: Dict[str, List[Tuple[int, float]]] = {}
         self._sample_gen = 0          # invalidates in-flight sample events
         self._sampling = False
+        #: (name, gauge) in name order; rebuilt after a gauge is added
+        self._sample_rows: Optional[List[Tuple[str, Gauge]]] = None
+        #: metric kind -> the tables a new name of that kind must avoid
+        self._other_kinds = {
+            "counter": (self._gauges, self._histograms),
+            "gauge": (self._counters, self._histograms),
+            "histogram": (self._counters, self._gauges),
+        }
 
     # ------------------------------------------------------------------ #
     # registration
@@ -120,12 +128,7 @@ class MetricsRegistry:
     def _check_name(self, name: str, kind: str) -> None:
         if not _NAME_RE.match(name):
             raise MetricError(f"invalid metric name {name!r}")
-        others = {
-            "counter": (self._gauges, self._histograms),
-            "gauge": (self._counters, self._histograms),
-            "histogram": (self._counters, self._gauges),
-        }[kind]
-        for table in others:
+        for table in self._other_kinds[kind]:
             if name in table:
                 raise MetricError(
                     f"metric {name!r} already registered as a different kind"
@@ -155,6 +158,7 @@ class MetricsRegistry:
             g = self._gauges[name] = Gauge(
                 name, fn, merge=merge if merge is not None else "last"
             )
+            self._sample_rows = None
             return g
         if fn is not None:
             g.fn = fn
@@ -191,11 +195,19 @@ class MetricsRegistry:
     # sampling
 
     def sample(self, now: int) -> None:
-        """Record one (now, value) point for every registered gauge."""
-        for name in sorted(self._gauges):
-            self.series.setdefault(name, []).append(
-                (now, self._gauges[name].read())
-            )
+        """Record one (now, value) point for every registered gauge, in
+        name order."""
+        rows = self._sample_rows
+        if rows is None:
+            rows = self._sample_rows = sorted(self._gauges.items())
+        series = self.series
+        for name, g in rows:
+            points = series.get(name)
+            if points is None:
+                points = series[name] = []
+            # Gauge.read() inlined: it runs for every gauge every tick
+            fn = g.fn
+            points.append((now, float(fn()) if fn is not None else g._value))
 
     def start_sampling(self, sim, interval: int) -> None:
         """Sample all gauges every ``interval`` cycles of ``sim``.  The

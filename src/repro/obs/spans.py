@@ -55,6 +55,11 @@ def _ep(ep: Any) -> str:
     return str(ep)
 
 
+#: builds a TraceRecord from a 4-tuple in C, skipping the generated
+#: Python-level ``__new__`` on the per-message path
+_new_record = tuple.__new__
+
+
 class Tracer:
     """Bounded in-memory ring of a machine's network sends."""
 
@@ -78,7 +83,9 @@ class Tracer:
             self._sim = None
 
     def _on_send(self, src: Any, dst: Any, payload: Any) -> None:
-        self.records.append(TraceRecord(self._sim.now, src, dst, payload))
+        self.records.append(
+            _new_record(TraceRecord, (self._sim.now, src, dst, payload))
+        )
 
     def between(self, t0: int, t1: int) -> List[TraceRecord]:
         return [r for r in self.records if t0 <= r.time <= t1]
@@ -100,16 +107,30 @@ class SpanError(RuntimeError):
     """Span protocol misuse: unknown id, double close, leftover spans."""
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(init=False)
 class Span:
-    """One closed (or still-open) interval on a track."""
+    """One closed (or still-open) interval on a track.  Slotted, with
+    the constructor written out (slotted fields take no class-level
+    defaults): a run keeps one per message."""
+
+    __slots__ = ("name", "cat", "track", "start", "end", "args")
 
     name: str
     cat: str
     track: Any
     start: int
-    end: Optional[int] = None
-    args: Dict[str, Any] = dataclasses.field(default_factory=dict)
+    end: Optional[int]
+    args: Dict[str, Any]
+
+    def __init__(self, name: str, cat: str, track: Any, start: int,
+                 end: Optional[int] = None,
+                 args: Optional[Dict[str, Any]] = None) -> None:
+        self.name = name
+        self.cat = cat
+        self.track = track
+        self.start = start
+        self.end = end
+        self.args = {} if args is None else args
 
     @property
     def duration(self) -> int:
@@ -129,6 +150,9 @@ class SpanTracer:
         self._open: Dict[int, Span] = {}
         self._next_id = 1
         self._topic: Optional[list] = None      # the bus list we are on
+        #: endpoint -> track name / label of message spans
+        self._tracks: Dict[Any, str] = {}
+        self._labels: Dict[Any, str] = {}
 
     # ------------------------------------------------------------------ #
     # clock binding / network attachment
@@ -159,16 +183,23 @@ class SpanTracer:
             self._topic = None
 
     def _on_send(self, src: Any, dst: Any, payload: Any):
-        sid = self.begin(
+        # begin() inlined: this runs once per message
+        track = self._tracks.get(src)
+        if track is None:
+            track = self._tracks[src] = f"net {_ep(src)}"
+        label = self._labels.get(dst)
+        if label is None:
+            label = self._labels[dst] = _ep(dst)
+        cls = type(payload)
+        sid = self._next_id
+        self._next_id = sid + 1
+        self._open[sid] = Span(
             # protocol records are tuples too: only a plain tuple is a
             # memory-system message named by its tag
-            str(payload[0]) if type(payload) is tuple
-            else type(payload).__name__,
-            cat="net",
-            track=f"net {_ep(src)}",
-            dst=_ep(dst),
+            str(payload[0]) if cls is tuple else cls.__name__,
+            "net", track, self._sim.now, None, {"dst": label},
         )
-        return functools.partial(self.end, sid)
+        return functools.partial(self._close, sid)
 
     # ------------------------------------------------------------------ #
     # span protocol
@@ -190,12 +221,18 @@ class SpanTracer:
     def end(self, sid: int, ts: Optional[int] = None, **args: Any) -> Span:
         """Close span ``sid``.  Raises :class:`SpanError` for unknown ids
         (including ids already closed)."""
+        span = self._close(sid, self._now(ts))
+        if args:
+            span.args.update(args)
+        return span
+
+    def _close(self, sid: int, t: Optional[int] = None) -> Span:
+        """Close span ``sid`` at ``t`` (default: the bound clock's now);
+        called bare, it is a message span's delivery continuation."""
         span = self._open.pop(sid, None)
         if span is None:
             raise SpanError(f"end of unknown or already-closed span id {sid}")
-        span.end = self._now(ts)
-        if args:
-            span.args.update(args)
+        span.end = self._sim.now if t is None else t
         if len(self.spans) < self.capacity:
             self.spans.append(span)
         else:

@@ -343,12 +343,17 @@ class Server:
         sim.at(done, fn)
         return done
 
+    # Both are gauge callbacks, read every sampling tick.
+
     def queue_delay(self) -> int:
         """Cycles a request arriving now would wait before service begins."""
-        return max(0, self._free_at - self._sim.now)
+        wait = self._free_at - self._sim.now
+        return wait if wait > 0 else 0
 
     def utilisation(self) -> float:
         """Fraction of elapsed simulated time this server was busy."""
-        if self._sim.now == 0:
+        now = self._sim.now
+        if now == 0:
             return 0.0
-        return min(1.0, self.busy_cycles / self._sim.now)
+        busy = self.busy_cycles / now
+        return busy if busy < 1.0 else 1.0

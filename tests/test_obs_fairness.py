@@ -21,6 +21,7 @@ from repro.obs.fairness import (
     FairnessError,
     FairnessObservatory,
     OvertakeLedger,
+    StarvationAlert,
     summarize_fairness,
     validate_fairness,
 )
@@ -263,6 +264,28 @@ class TestScriptedObservatory:
         algo.emit(5, "acquire", 1, True)
         assert obs.lock_summary(0x40)["grants"]["write"] == 0
 
+    def test_second_attach_replaces_the_first(self):
+        algo, obs = _scripted()
+        obs.attach_machine(algo.machine)
+        bus = algo.machine.sim.bus
+        assert (len(bus.lock), len(bus.ssb), len(bus.net)) == (1, 1, 1)
+        algo.emit(0, "request", 1, True)
+        algo.emit(1, "acquire", 1, True)
+        assert obs.lock_summary(0x40)["grants"]["write"] == 1
+        obs.detach()
+        assert all(getattr(bus, t) == [] for t in ProbeBus.__slots__)
+
+    def test_attach_to_another_machine_leaves_the_first(self):
+        first, obs = _scripted()
+        second = _ScriptedLock()
+        obs.attach_machine(second.machine)
+        assert all(getattr(first.machine.sim.bus, t) == []
+                   for t in ProbeBus.__slots__)
+        first.emit(0, "request", 1, True)
+        second.emit(0, "request", 1, True)
+        second.emit(1, "acquire", 1, True)
+        assert obs.lock_summary(0x40)["grants"]["write"] == 1
+
     def test_constructor_validation(self):
         with pytest.raises(FairnessError):
             FairnessObservatory(slo=0)
@@ -286,6 +309,97 @@ class TestScriptedObservatory:
         algo.emit(500, "request", 1, True)
         algo.emit(500, "acquire", 1, True)
         assert reg.gauge("fairness.window.writer_share").read() == 1.0
+
+
+class _ScanEveryWaiter(FairnessObservatory):
+    """The starvation watchdog as a plain scan of every waiter on every
+    event: the reference the observatory's scan skip must match."""
+
+    def _check_starvation(self, st, now, skip):
+        for tid, (seq, write, t_req) in st.table.waiting.items():
+            if tid == skip or seq in st.alerted:
+                continue
+            if now - t_req > self.starvation_bound:
+                st.alerted.add(seq)
+                st.alerts_total += 1
+                if st.alerts_total <= self.max_alert_details:
+                    self.alerts.append(StarvationAlert(
+                        lock=st.label, tid=tid, write=bool(write),
+                        waited=now - t_req, t=now,
+                        bound=self.starvation_bound, events=[],
+                    ))
+
+
+class TestWatchdogMatchesFullScan:
+    """Each schedule runs under the observatory and the scan-every-waiter
+    reference at once; both must alert at the same cycles, on the same
+    waiters, with the same counts."""
+
+    BOUND = 100
+
+    def _run(self, schedule, detach_at=None):
+        algo = _ScriptedLock()
+        obs = FairnessObservatory(starvation_bound=self.BOUND)
+        ref = _ScanEveryWaiter(starvation_bound=self.BOUND)
+        obs.attach_machine(algo.machine)
+        ref.attach_machine(algo.machine)
+        for t, event, tid, write in schedule:
+            algo.emit(t, event, tid, write)
+        if detach_at is not None:
+            algo.machine.sim.now = detach_at
+            obs.detach()
+            ref.detach()
+
+        def seen(o):
+            return ([(a.t, a.tid, a.write, a.waited) for a in o.alerts],
+                    o.lock_summary(0x40)["starvation"]["alerts"])
+
+        assert seen(obs) == seen(ref)
+        return seen(obs)
+
+    def test_waiter_starving_behind_later_arrivals(self):
+        schedule = [(0, "request", 1, True)]
+        # readers 2 and 3 keep arriving after writer 1 and pass it
+        for t in range(5, 400, 20):
+            for tid in (2, 3):
+                schedule += [(t, "request", tid, False),
+                             (t + 2, "acquire", tid, False),
+                             (t + 6, "release", tid, False)]
+        alerts, total = self._run(schedule)
+        # only writer 1 starves, at the first event past the bound
+        assert alerts == [(105, 1, True, 105)] and total == 1
+
+    def test_repeated_request_replaces_its_entry_in_place(self):
+        # tid 1's second request keeps its place ahead of tid 2 in the
+        # waiting table, with a later request time: request times are
+        # not monotone in table order
+        schedule = [
+            (0, "request", 1, True),
+            (5, "request", 2, False),
+            (50, "request", 1, True),
+            (60, "request", 3, False),
+            (104, "acquire", 3, False),
+            (105, "release", 3, False),     # tid 2: waited exactly 100
+            (106, "request", 4, False),     # tid 2: waited 101
+            (149, "release", 9, False),
+            (151, "release", 9, False),     # tid 1: waited 101
+            (230, "acquire", 4, False),
+        ]
+        alerts, total = self._run(schedule)
+        assert alerts == [(106, 2, False, 101), (151, 1, True, 101)]
+        assert total == 2
+
+    def test_final_sweep_in_detach(self):
+        schedule = [
+            (0, "request", 1, True),
+            (10, "request", 2, False),
+            (20, "acquire", 2, False),
+            (30, "release", 2, False),
+            (40, "request", 3, True),
+        ]
+        alerts, total = self._run(schedule, detach_at=500)
+        assert alerts == [(500, 1, True, 500), (500, 3, True, 460)]
+        assert total == 2
 
 
 # --------------------------------------------------------------------- #

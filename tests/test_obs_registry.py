@@ -26,6 +26,24 @@ class TestNames:
         with pytest.raises(MetricError):
             MetricsRegistry().counter(bad)
 
+    @pytest.mark.parametrize("bad", ["a b", "a..b"])
+    def test_invalid_name_raises_on_every_fresh_registry(self, bad):
+        """However many valid names came before, on this registry or
+        another, an invalid name raises."""
+        for _ in range(3):
+            reg = MetricsRegistry()
+            reg.counter("ok.name")
+            for make in (reg.counter, reg.gauge, reg.histogram):
+                with pytest.raises(MetricError):
+                    make(bad)
+
+    def test_kind_collision_is_per_registry(self):
+        MetricsRegistry().counter("x.shared")
+        reg = MetricsRegistry()
+        reg.gauge("x.shared")       # a counter elsewhere is no collision
+        with pytest.raises(MetricError):
+            reg.counter("x.shared")
+
     def test_cross_kind_collision(self):
         reg = MetricsRegistry()
         reg.counter("x.count")
@@ -95,6 +113,44 @@ class TestSampling:
         sim.at(100, lambda: None)
         sim.run(until=100)
         assert reg.series["g"] == [(10, 1.0)]
+
+    def test_gauge_added_or_rebound_mid_run_sampled_next_tick(self):
+        """Sampling reads every gauge in name order, and a gauge added
+        or re-bound between ticks is read from the next tick on."""
+        sim = Simulator()
+        reg = MetricsRegistry()
+        reads = []
+
+        def gauge_fn(name, value):
+            def read():
+                reads.append((sim.now, name))
+                return value
+            return read
+
+        reg.gauge("m.mid", gauge_fn("m.mid", 1))
+        reg.gauge("z.last", gauge_fn("z.last", 2))
+        reg.start_sampling(sim, 10)
+
+        def change():
+            reg.gauge("a.first", gauge_fn("a.first", 3))   # new
+            reg.gauge("m.mid", gauge_fn("m.mid", 4))       # re-bound
+            reg.gauge("z.last").set(5)                     # now explicit
+
+        sim.at(15, change)
+        sim.at(35, lambda: None)
+        sim.run(until=35)
+        reg.stop_sampling()
+        assert reg.series == {
+            "m.mid": [(10, 1.0), (20, 4.0), (30, 4.0)],
+            "z.last": [(10, 2.0), (20, 5), (30, 5)],
+            "a.first": [(20, 3.0), (30, 3.0)],
+        }
+        assert reads == [
+            (10, "m.mid"), (10, "z.last"),
+            (20, "a.first"), (20, "m.mid"),
+            (30, "a.first"), (30, "m.mid"),
+        ]
+        assert list(reg.to_dict()["series"]) == ["a.first", "m.mid", "z.last"]
 
     def test_interval_must_be_positive(self):
         with pytest.raises(MetricError):
