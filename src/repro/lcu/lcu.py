@@ -20,6 +20,7 @@ fault tolerance is the layer :mod:`repro.lcu.recovery` installs.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, Optional, Set, Tuple
 
 from repro.lcu import messages as msg
@@ -99,9 +100,10 @@ class LockControlUnit:
         self._subs = sim.bus.lcu
 
     def _emit(self, event: str, addr: int, tid: int, write: bool) -> None:
-        if self._subs:
-            for fn in self._subs:
-                fn(event, addr, tid, write)
+        # callers test ``self._subs`` first: an unobserved run pays one
+        # truth test per event, not a call
+        for fn in self._subs:
+            fn(event, addr, tid, write)
 
     # ------------------------------------------------------------------ #
     # plumbing
@@ -203,7 +205,8 @@ class LockControlUnit:
                 self._held_gen[key] = (parked[2], parked[1])
                 self.stats["flt_hits"] = self.stats.get("flt_hits", 0) + 1
                 self.stats["acquires"] += 1
-                self._emit("acquire", addr, tid, write)
+                if self._subs:
+                    self._emit("acquire", addr, tid, write)
                 return True
             e = self._alloc(addr, tid, write)
             if e is None:
@@ -211,7 +214,8 @@ class LockControlUnit:
             e.status = ISSUED
             self._req_seq += 1
             e.req_seq = self._req_seq
-            self._emit("req_sent", addr, tid, write)
+            if self._subs:
+                self._emit("req_sent", addr, tid, write)
             self._send_lrt(
                 addr,
                 msg.Request(
@@ -227,7 +231,8 @@ class LockControlUnit:
         if e.status == RCV and not e.pending_ovf:
             e.timer_seq += 1  # cancel the grant timer
             self.stats["acquires"] += 1
-            self._emit("acquire", addr, tid, write)
+            if self._subs:
+                self._emit("acquire", addr, tid, write)
             if e.overflow:
                 # Overflow readers do not join the queue; remember the
                 # grant so the release can be tagged, then free the entry.
@@ -244,7 +249,8 @@ class LockControlUnit:
             # Local re-acquisition of a silently-released read lock.
             e.status = ACQ
             self.stats["acquires"] += 1
-            self._emit("acquire", addr, tid, write)
+            if self._subs:
+                self._emit("acquire", addr, tid, write)
             return True
         return False
 
@@ -266,7 +272,8 @@ class LockControlUnit:
                 self._flt[addr] = (tid, write, self._held_gen.pop(key)[0])
                 self.stats["flt_parks"] = self.stats.get("flt_parks", 0) + 1
                 self.stats["releases"] += 1
-                self._emit("release", addr, tid, write)
+                if self._subs:
+                    self._emit("release", addr, tid, write)
                 return True
             # Uncontended lock, overflow-mode grant, or migrated thread:
             # re-allocate an entry and tell the LRT (paper III-A / III-C).
@@ -278,7 +285,8 @@ class LockControlUnit:
             e.overflow = overflow
             e.gen = self._held_gen.pop(key, (0, write))[0]
             self.stats["releases"] += 1
-            self._emit("release", addr, tid, write)
+            if self._subs:
+                self._emit("release", addr, tid, write)
             self._send_lrt(
                 addr,
                 msg.ReleaseMsg(
@@ -288,7 +296,8 @@ class LockControlUnit:
             return True
         if e.status == ACQ and e.write == write:
             self.stats["releases"] += 1
-            self._emit("release", addr, tid, write)
+            if self._subs:
+                self._emit("release", addr, tid, write)
             self._release_entry(e)
             return True
         if e.status in (ISSUED, WAIT, RCV, RD_REL):
@@ -299,7 +308,8 @@ class LockControlUnit:
             # LRT's queue walk without touching the stale node — it will
             # self-heal via the grant timer when its grant arrives.
             self.stats["releases"] += 1
-            self._emit("release", addr, tid, write)
+            if self._subs:
+                self._emit("release", addr, tid, write)
             self._send_lrt(
                 addr, msg.ReleaseMsg(addr, Who(tid, self.lcu_id, write), False)
             )
@@ -320,7 +330,8 @@ class LockControlUnit:
         e.status = ISSUED
         self._req_seq += 1
         e.req_seq = self._req_seq
-        self._emit("req_sent", addr, tid, write)
+        if self._subs:
+            self._emit("req_sent", addr, tid, write)
         self._send_lrt(
             addr,
             msg.Request(
@@ -361,8 +372,9 @@ class LockControlUnit:
         nxt = e.next
         assert nxt is not None
         self.stats["transfers"] += 1
-        self._emit("transfer", e.addr, nxt.tid, nxt.write)
-        self._emit("grant_sent", e.addr, nxt.tid, nxt.write)
+        if self._subs:
+            self._emit("transfer", e.addr, nxt.tid, nxt.write)
+            self._emit("grant_sent", e.addr, nxt.tid, nxt.write)
         self._send_lcu(
             nxt.lcu,
             msg.Grant(
@@ -379,11 +391,9 @@ class LockControlUnit:
     def _arm_timer(self, e: LcuEntry) -> None:
         e.timer_seq += 1
         seq = e.timer_seq
-        addr, tid = e.addr, e.tid
-        self._sim.after(
-            self._config.lcu_grant_timeout,
-            lambda: self._timer_fire(addr, tid, seq),
-        )
+        sim = self._sim
+        sim.at(sim.now + self._config.lcu_grant_timeout,
+               partial(self._timer_fire, e.addr, e.tid, seq))
 
     def _timer_fire(self, addr: int, tid: int, seq: int) -> None:
         e = self._entries.get((addr, tid))
@@ -395,7 +405,8 @@ class LockControlUnit:
             self._arm_timer(e)
             return
         self.stats["timeouts"] += 1
-        self._emit("timeout", addr, tid, e.write)
+        if self._subs:
+            self._emit("timeout", addr, tid, e.write)
         if e.overflow:
             e.status = REL
             self._send_lrt(
@@ -430,7 +441,8 @@ class LockControlUnit:
                 raise ProtocolError(f"overflow grant in status {e.status}")
             e.status = RCV
             e.overflow = True
-            self._emit("grant_recv", m.addr, m.tid, e.write)
+            if self._subs:
+                self._emit("grant_recv", m.addr, m.tid, e.write)
             self._arm_timer(e)
             self._fire(m.addr, m.tid)
             return
@@ -441,7 +453,8 @@ class LockControlUnit:
                 raise ProtocolError(f"share grant to writer entry {e!r}")
             if e.status in (ISSUED, WAIT):
                 e.status = RCV
-                self._emit("grant_recv", m.addr, m.tid, e.write)
+                if self._subs:
+                    self._emit("grant_recv", m.addr, m.tid, e.write)
                 self._arm_timer(e)
                 self._propagate_share(e)
                 self._fire(m.addr, m.tid)
@@ -458,7 +471,8 @@ class LockControlUnit:
         if e.status in (ISSUED, WAIT):
             e.status = RCV
             e.head = True
-            self._emit("grant_recv", m.addr, m.tid, e.write)
+            if self._subs:
+                self._emit("grant_recv", m.addr, m.tid, e.write)
             self._arm_timer(e)
             if not m.from_lrt:
                 self._notify_head(e)
@@ -476,7 +490,8 @@ class LockControlUnit:
         elif e.status == RD_REL:
             # Token bypasses a silently-released intermediate reader.
             if e.next is not None:
-                self._emit("grant_sent", e.addr, e.next.tid, e.next.write)
+                if self._subs:
+                    self._emit("grant_sent", e.addr, e.next.tid, e.next.write)
                 self._send_lcu(
                     e.next.lcu,
                     msg.Grant(
@@ -513,7 +528,8 @@ class LockControlUnit:
 
     def _propagate_share(self, e: LcuEntry) -> None:
         if e.next is not None and not e.next.write:
-            self._emit("grant_sent", e.addr, e.next.tid, False)
+            if self._subs:
+                self._emit("grant_sent", e.addr, e.next.tid, False)
             self._send_lcu(
                 e.next.lcu,
                 msg.Grant(e.addr, e.next.tid, head=False, gen=e.gen),
@@ -549,7 +565,8 @@ class LockControlUnit:
             del self._flt[m.addr]
             self.stats["transfers"] += 1
             gen = max(parked[2], m.gen) + 1
-            self._emit("grant_sent", m.addr, m.req.tid, m.req.write)
+            if self._subs:
+                self._emit("grant_sent", m.addr, m.req.tid, m.req.write)
             self._send_lcu(
                 m.req.lcu,
                 msg.Grant(
@@ -584,7 +601,8 @@ class LockControlUnit:
             # Release/enqueue race (paper III-A): hand the lock straight
             # to the forwarded requestor.
             self.stats["transfers"] += 1
-            self._emit("grant_sent", m.addr, m.req.tid, m.req.write)
+            if self._subs:
+                self._emit("grant_sent", m.addr, m.req.tid, m.req.write)
             self._send_lcu(
                 m.req.lcu,
                 msg.Grant(
@@ -606,7 +624,8 @@ class LockControlUnit:
             and e.status in (RCV, ACQ, RD_REL)
         ):
             # Tail holds (or is inside) an active read run: share the lock.
-            self._emit("grant_sent", m.addr, m.req.tid, False)
+            if self._subs:
+                self._emit("grant_sent", m.addr, m.req.tid, False)
             self._send_lcu(
                 m.req.lcu,
                 msg.Grant(m.addr, m.req.tid, head=False, gen=e.gen),

@@ -26,6 +26,7 @@ fault tolerance is the layer :mod:`repro.lcu.recovery` installs.
 from __future__ import annotations
 
 from collections import OrderedDict
+from functools import partial
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.lcu import messages as msg
@@ -115,9 +116,10 @@ class LockReservationTable:
         self._subs = sim.bus.lrt
 
     def _emit(self, event: str, addr: int, tid: int, write: bool) -> None:
-        if self._subs:
-            for fn in self._subs:
-                fn(event, addr, tid, write)
+        # callers test ``self._subs`` first: an unobserved run pays one
+        # truth test per event, not a call
+        for fn in self._subs:
+            fn(event, addr, tid, write)
 
     # ------------------------------------------------------------------ #
     # table management
@@ -214,10 +216,17 @@ class LockReservationTable:
             # still enters here, the LRT's one network entry point.
             self._on_heartbeat(m)
             return
-        penalty = self._lookup_penalty(m.addr)
-        self._server.request(
-            self._config.lrt_latency + penalty, lambda: self._process(m)
-        )
+        service = self._config.lrt_latency + self._lookup_penalty(m.addr)
+        # Server.request's arithmetic, inlined: one call per message
+        server = self._server
+        sim = self._sim
+        now = sim.now
+        free = server._free_at
+        done = (free if free > now else now) + service
+        server._free_at = done
+        server.busy_cycles += service
+        server.requests += 1
+        sim.at(done, partial(self._process, m))
 
     def _process(self, m: object) -> None:
         h = _LRT_HANDLERS.get(m.__class__)
@@ -241,7 +250,8 @@ class LockReservationTable:
             e = self._install(m.addr)
             e.head = e.tail = req
             e.gen += 1
-            self._emit("enqueue", m.addr, req.tid, req.write)
+            if self._subs:
+                self._emit("enqueue", m.addr, req.tid, req.write)
             self._grant(req, m.addr, head=True, gen=e.gen)
             return
 
@@ -262,7 +272,8 @@ class LockReservationTable:
             e.head = e.tail = req
             e.gen += 1
             confirm = req.write and e.reader_cnt > 0
-            self._emit("enqueue", m.addr, req.tid, req.write)
+            if self._subs:
+                self._emit("enqueue", m.addr, req.tid, req.write)
             self._grant(req, m.addr, head=True, gen=e.gen, confirm=confirm)
             return
 
@@ -282,9 +293,10 @@ class LockReservationTable:
                 # Overflow-mode read grant: no queue membership.
                 e.reader_cnt += 1
                 self.stats["overflow_grants"] += 1
-                self._emit("overflow_grant", m.addr, req.tid, req.write)
-                self._emit("enqueue", m.addr, req.tid, req.write)
-                self._emit("grant_sent", m.addr, req.tid, req.write)
+                if self._subs:
+                    self._emit("overflow_grant", m.addr, req.tid, req.write)
+                    self._emit("enqueue", m.addr, req.tid, req.write)
+                    self._emit("grant_sent", m.addr, req.tid, req.write)
                 self._send_lcu(
                     req.lcu,
                     msg.Grant(
@@ -320,8 +332,9 @@ class LockReservationTable:
             # decisions are serialized at the LRT, and any later writer
             # enqueues behind this reader.)
             self.stats["grants"] += 1
-            self._emit("grant", m.addr, req.tid, req.write)
-            self._emit("grant_sent", m.addr, req.tid, req.write)
+            if self._subs:
+                self._emit("grant", m.addr, req.tid, req.write)
+                self._emit("grant_sent", m.addr, req.tid, req.write)
             self._send_lcu(
                 req.lcu,
                 msg.Grant(m.addr, req.tid, head=False, gen=e.gen,
@@ -334,8 +347,9 @@ class LockReservationTable:
     ) -> None:
         assert e.tail is not None
         self.stats["forwards"] += 1
-        self._emit("forward", addr, req.tid, req.write)
-        self._emit("enqueue", addr, req.tid, req.write)
+        if self._subs:
+            self._emit("forward", addr, req.tid, req.write)
+            self._emit("enqueue", addr, req.tid, req.write)
         fwd = msg.FwdRequest(
             addr=addr,
             tail_tid=e.tail.tid,
@@ -380,8 +394,9 @@ class LockReservationTable:
         self, req: Who, addr: int, head: bool, gen: int, confirm: bool = False
     ) -> None:
         self.stats["grants"] += 1
-        self._emit("grant", addr, req.tid, req.write)
-        self._emit("grant_sent", addr, req.tid, req.write)
+        if self._subs:
+            self._emit("grant", addr, req.tid, req.write)
+            self._emit("grant_sent", addr, req.tid, req.write)
         self._send_lcu(
             req.lcu,
             msg.Grant(
@@ -392,7 +407,8 @@ class LockReservationTable:
 
     def _retry(self, req: Who, addr: int, seq: int = 0) -> None:
         self.stats["retries"] += 1
-        self._emit("retry", addr, req.tid, req.write)
+        if self._subs:
+            self._emit("retry", addr, req.tid, req.write)
         self._send_lcu(req.lcu, msg.Retry(addr, req.tid, seq=seq))
 
     # ------------------------------------------------------------------ #

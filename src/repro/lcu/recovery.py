@@ -160,7 +160,8 @@ class RecoveringLCU(LockControlUnit):
         if e is None or e.status not in (ISSUED, WAIT) or e.head:
             return False
         _bump(self.stats, "forced_evictions")
-        self._emit("evict", addr, tid, e.write)
+        if self._subs:
+            self._emit("evict", addr, tid, e.write)
         # Tombstone until the queue is reclaimed: the dead node is still
         # linked at the LRT, so a re-request now would put the same
         # (lcu, tid) in the queue twice.  Must happen before _free — the
@@ -271,7 +272,8 @@ class RecoveringLCU(LockControlUnit):
         for key, e in list(self._entries.items()):
             if e.tid in dead and e.status == ACQ:
                 _bump(self.stats, "crash_releases")
-                self._emit("release", e.addr, e.tid, e.write)
+                if self._subs:
+                    self._emit("release", e.addr, e.tid, e.write)
                 self._release_entry(e)
         for addr in [
             a for a, (tid, _w, _g) in self._flt.items() if tid in dead
@@ -289,7 +291,8 @@ class RecoveringLCU(LockControlUnit):
             e.status = REL
             e.gen = gen
             _bump(self.stats, "crash_releases")
-            self._emit("release", addr, tid, write)
+            if self._subs:
+                self._emit("release", addr, tid, write)
             self._send_lrt(
                 addr,
                 msg.ReleaseMsg(addr, Who(tid, self.lcu_id, write), False, gen),
@@ -304,7 +307,8 @@ class RecoveringLCU(LockControlUnit):
             e.status = REL
             e.overflow = True
             _bump(self.stats, "crash_releases")
-            self._emit("release", addr, tid, False)
+            if self._subs:
+                self._emit("release", addr, tid, False)
             self._send_lrt(
                 addr, msg.ReleaseMsg(addr, Who(tid, self.lcu_id, False), True)
             )
@@ -421,7 +425,7 @@ class RecoveringLCU(LockControlUnit):
                 # threads wake via the entry signal and re-request into
                 # the new era; a "evict" event widens the fairness
                 # oracle's overtake budget for the queue jump.
-                if e.status in (ISSUED, WAIT):
+                if self._subs and e.status in (ISSUED, WAIT):
                     self._emit("evict", addr, tid, e.write)
                 _bump(self.stats, "reset_freed")
                 self._free(e)
@@ -450,7 +454,8 @@ class RecoveringLCU(LockControlUnit):
                 # A granted writer still awaiting OvfClear: its clearance
                 # died with the old era.  It never held the lock — drop
                 # it and let the thread re-request.
-                self._emit("evict", addr, tid, e.write)
+                if self._subs:
+                    self._emit("evict", addr, tid, e.write)
                 _bump(self.stats, "reset_freed")
                 self._free(e)
             elif e.write and e.status in (ACQ, RCV):

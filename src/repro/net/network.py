@@ -20,7 +20,8 @@ occupies — and the service cycles each charges — never changes, so it is
 resolved once into a cached *route* (a tuple of ``(server, service)``
 hops plus the propagation delay); the transit frame then walks the route
 by re-scheduling itself at each hop completion (it reserves each hop's
-server inline, so a hop costs one call into the engine).  Every drained
+server and files its next event in the engine's store inline, so a hop
+makes no call).  Every drained
 frame returns to a free list, which therefore never holds more frames
 than were once in flight together.  This replaces the closure-per-hop
 dispatch the hub previously allocated per message (~5 closures/message)
@@ -56,10 +57,11 @@ when unused:
 
 from __future__ import annotations
 
+from heapq import heappush as _heappush
 from typing import Any, Callable, Dict, Iterable, Optional, Tuple
 
 from repro.params import MachineConfig
-from repro.sim.engine import Server, Simulator
+from repro.sim.engine import DRAW_BITS, SEQ_BITS, Server, Simulator
 
 # An endpoint is any hashable id; the machine uses ("core", i) and ("mc", j).
 Endpoint = Tuple[str, int]
@@ -81,51 +83,77 @@ class _Transit:
     delay, then hand off to delivery.  ``hop`` counts phases: values
     ``0..len(hops)-1`` are server hops, ``len(hops)`` is propagation,
     beyond that is delivery.
+
+    A phase files the frame's next event in the engine's store itself
+    (``keys``/``events``, from :meth:`Simulator.key_store`), with the
+    key :meth:`Simulator.at` would build: the same sequence number and,
+    in seeded order, the same tiebreak draw at the same point.  When
+    the simulator overrides ``at`` (``keys`` is None) the frame calls
+    it instead.
     """
 
     __slots__ = (
-        "net", "sim", "src", "dst", "payload", "on_deliver", "hops", "prop",
-        "hop", "stamp",
+        "net", "sim", "keys", "events", "src", "dst", "payload",
+        "on_deliver", "hops", "nhops", "prop", "hop", "stamp",
     )
 
     def __init__(self, net: "Network") -> None:
         net._transits += 1
         self.net = net
-        self.sim = net._sim
+        self.sim = sim = net._sim
+        store = sim.key_store()
+        self.keys, self.events = store if store is not None else (None, None)
         self.src: Any = None
         self.dst: Any = None
         self.payload: Any = None
         self.on_deliver: Optional[Callable[[], None]] = None
         self.hops: Tuple[Tuple[Server, int], ...] = ()
+        self.nhops = 0
         self.prop = 0
         self.hop = 0
         self.stamp = 0
 
     def __call__(self) -> None:
         hop = self.hop
-        hops = self.hops
         sim = self.sim
-        if hop < len(hops):
-            self.hop = hop + 1
-            server, service = hops[hop]
-            # Server.request's arithmetic, inlined: one call per hop
+        if hop < self.nhops:
+            server, service = self.hops[hop]
+            # Server.request's arithmetic, inlined
             now = sim.now
             free = server._free_at
             done = (free if free > now else now) + service
             server._free_at = done
             server.busy_cycles += service
             server.requests += 1
+        elif hop == self.nhops:
+            done = sim.now + self.prop
+        else:
+            net = self.net
+            if net._fifo_enforced:
+                net._arrive(self)
+            else:
+                net._deliver(self)
+            return
+        self.hop = hop + 1
+        # Simulator.at, inlined: ``done`` is never in the past.  The
+        # queue-depth peak cannot move here when the engine dispatched
+        # this phase (its own event just left the store), so only
+        # Network._transmit, which runs the first phase directly,
+        # checks it.
+        keys = self.keys
+        if keys is None:
             sim.at(done, self)
             return
-        if hop == len(hops):
-            self.hop = hop + 1
-            sim.at(sim.now + self.prop, self)
-            return
-        net = self.net
-        if net._fifo_enforced:
-            net._arrive(self)
+        seq = sim._seq
+        sim._seq = seq + 1
+        tiebreak = sim._tiebreak
+        if tiebreak is None:
+            key = done << SEQ_BITS | seq
         else:
-            net._deliver(self)
+            key = ((done << DRAW_BITS | tiebreak.getrandbits(DRAW_BITS))
+                   << SEQ_BITS | seq)
+        self.events[key] = self
+        _heappush(keys, key)
 
 
 class Network:
@@ -349,6 +377,7 @@ class Network:
         tr.payload = payload
         tr.on_deliver = on_deliver
         tr.hops = hops
+        tr.nhops = len(hops)
         tr.prop = prop
         tr.hop = 0
         if self._fifo_enforced:
@@ -357,6 +386,12 @@ class Network:
             self._pair_stamp[pair] = stamp + 1
             tr.stamp = stamp
         tr()
+        # the first phase adds an event outside the loop: the one place
+        # a transit can raise the queue-depth peak
+        sim = self._sim
+        depth = len(sim._events)
+        if depth > sim.queue_depth_peak:
+            sim.queue_depth_peak = depth
 
     def _resolve_route(self, src: Endpoint, dst: Endpoint) -> Route:
         """Build and cache the (src, dst) route: the server chain the

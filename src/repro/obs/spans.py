@@ -33,6 +33,7 @@ import collections
 import dataclasses
 import functools
 import json
+import re
 from typing import Any, Deque, Dict, Iterable, List, NamedTuple, Optional
 
 
@@ -45,8 +46,20 @@ class TraceRecord(NamedTuple):
     def render(self) -> str:
         return (
             f"{self.time:>10d}  {_ep(self.src):>10s} -> {_ep(self.dst):<10s}"
-            f"  {self.payload!r}"
+            f"  {_payload(self.payload)}"
         )
+
+
+def _payload(payload: Any) -> str:
+    """``repr(payload)`` without object addresses.  Memory-system and
+    SSB payloads are plain tuples holding completion callbacks (op
+    guards, closures), whose default ``repr`` names an address that
+    differs from process to process; the rest of the text stays."""
+    text = repr(payload)
+    if " at 0x" in text:
+        # compiled on first use: only an alert snapshot renders
+        text = re.sub(r" at 0x[0-9a-fA-F]+", "", text)
+    return text
 
 
 def _ep(ep: Any) -> str:

@@ -31,19 +31,24 @@ from __future__ import annotations
 
 import heapq
 import random
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.sim.bus import ProbeBus
 
 #: the low 40 bits of a key are the event's schedule sequence number:
 #: ~10^12 events, about 10^5 full nemesis passes, before a seq would
 #: spill into the order bits above it (not checked at run time)
-_SEQ_BITS = 40
+SEQ_BITS = 40
 #: a seeded key's order bits are ``cycle << 30 | draw``, the 30-bit
 #: tiebreak draw taken when the event is scheduled
-_DRAW_BITS = 30
+DRAW_BITS = 30
+#: the key bound of a run without ``until``: above the key of any cycle
+#: below 2**186, so the loop's one compare almost never passes it, and
+#: when it does the loop checks ``until`` before stopping
+_NO_BOUND = 1 << 256
 
 _heappush = heapq.heappush
+_heappop = heapq.heappop
 
 
 class SimulationError(RuntimeError):
@@ -121,10 +126,10 @@ class Simulator:
         seq = self._seq
         tiebreak = self._tiebreak
         if tiebreak is None:
-            key = time << _SEQ_BITS | seq
+            key = time << SEQ_BITS | seq
         else:
-            key = ((time << _DRAW_BITS | tiebreak.getrandbits(_DRAW_BITS))
-                   << _SEQ_BITS | seq)
+            key = ((time << DRAW_BITS | tiebreak.getrandbits(DRAW_BITS))
+                   << SEQ_BITS | seq)
         events = self._events
         events[key] = fn
         _heappush(self._keys, key)
@@ -132,6 +137,21 @@ class Simulator:
         depth = len(events)
         if depth > self.queue_depth_peak:
             self.queue_depth_peak = depth
+
+    def key_store(
+        self,
+    ) -> Optional[Tuple[List[int], Dict[int, Callable[[], None]]]]:
+        """The event store as ``(keys, events)``, for a hot path that
+        files its events itself instead of calling :meth:`at`
+        (:class:`repro.net.network._Transit`).  Such a caller takes the
+        next ``_seq`` and, in seeded order, the next tiebreak draw,
+        exactly as :meth:`at` would, and builds the key as :meth:`at`
+        does.  ``None`` when a subclass overrides :meth:`at` (the heapq
+        oracle of the equivalence tests): every event must then go
+        through the override."""
+        if type(self).at is not Simulator.at:
+            return None
+        return self._keys, self._events
 
     def after(self, delay: int, fn: Callable[[], None]) -> None:
         """Schedule ``fn`` to run ``delay`` cycles from now."""
@@ -167,6 +187,10 @@ class Simulator:
 
         An event leaves the store before its handler runs, so a handler
         that raises is consumed and every other event stays runnable.
+
+        The usual call (no ``max_events``, ``stop_when`` or ``dispatch``)
+        takes a loop that tests only the stop flag and one key bound per
+        event; both loops dispatch the same events in the same order.
         """
         if self._running:
             raise SimulationError("run() re-entered from an event handler")
@@ -181,27 +205,44 @@ class Simulator:
         events = self._events
         pop_event = events.pop
         dispatch = self.dispatch
-        shift = _SEQ_BITS if self._tiebreak is None else _SEQ_BITS + _DRAW_BITS
-        pop_key = heapq.heappop
-        nmax = -1 if max_events is None else max_events
+        shift = SEQ_BITS if self._tiebreak is None else SEQ_BITS + DRAW_BITS
+        # the least key of a cycle past ``until``: a key at or above it
+        # ends the run
+        bound = _NO_BOUND if until is None else (until + 1) << shift
         processed = 0
         depth_sum = 0
         self._running = True
         try:
+            if dispatch is None and stop_when is None and max_events is None:
+                while keys:
+                    if self._stop:
+                        self._stop = False
+                        break
+                    key = _heappop(keys)
+                    if key >= bound and until is not None:
+                        _heappush(keys, key)
+                        self.now = until
+                        break
+                    fn = pop_event(key)
+                    self.now = key >> shift
+                    depth_sum += len(events)
+                    fn()
+                    processed += 1
+                return processed
+            nmax = -1 if max_events is None else max_events
             while keys:
                 if self._stop or (stop_when is not None and stop_when()):
                     self._stop = False
                     break
                 if processed == nmax:
                     break
-                key = pop_key(keys)
-                t = key >> shift
-                if until is not None and t > until:
+                key = _heappop(keys)
+                if key >= bound and until is not None:
                     _heappush(keys, key)
                     self.now = until
                     break
                 fn = pop_event(key)
-                self.now = t
+                t = self.now = key >> shift
                 depth_sum += len(events)
                 if dispatch is None:
                     fn()

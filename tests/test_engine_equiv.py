@@ -168,6 +168,7 @@ def _run_workload(config_factory, lock_name, seed, fault_classes=None,
         "events": machine.sim.events_processed,
         "cs": tracker.total,
         "violations": tracker.violations,
+        "sim": machine.sim,
     }
 
 
@@ -296,6 +297,143 @@ def test_seeded_nemesis_cell_matches_oracle(on_oracle, algo, model, fault,
             cal_sims, ref_sims):
         assert (c_now, c_events) == (r_now, r_events)
         assert c_trace == r_trace
+
+
+# --------------------------------------------------------------------- #
+# the network files transit hops in the store itself: the oracle, which
+# overrides ``at``, must still dispatch every one of them
+
+
+def _counting(base):
+    """``base`` with every instance's dispatched events counted by a
+    ``dispatch`` hook, for runs (nemesis cells) that build their
+    machines out of reach."""
+    class Counting(base):
+        built = []
+
+        def __init__(self, tiebreak_seed=None):
+            super().__init__(tiebreak_seed)
+            self.dispatched = 0
+
+            def count(now, fn):
+                self.dispatched += 1
+                fn()
+
+            self.dispatch = count
+            Counting.built.append(self)
+
+    return Counting
+
+
+@pytest.mark.parametrize("tiebreak_seed", [None, 99],
+                         ids=["stable", "seeded"])
+@pytest.mark.parametrize("faults", [None, ["drop"]],
+                         ids=["clean", "drop"])
+def test_oracle_dispatches_every_event(on_oracle, tiebreak_seed, faults):
+    """An lcu workload, clean and with dropped frames (reliable layer,
+    retransmissions), in stable and seeded order: the heapq oracle
+    dispatches as many events as the engine's plain run processes, and
+    nothing is left behind in the engine's own store."""
+    plain = _run_workload(model_b, "lcu", 17, faults,
+                          tiebreak_seed=tiebreak_seed)
+    on_oracle()
+    ref = _run_workload(model_b, "lcu", 17, faults,
+                        tiebreak_seed=tiebreak_seed)
+    oracle = ref["sim"]
+    assert isinstance(oracle, HeapSimulator)
+    # events_processed counts what the oracle's own loop dispatched
+    assert oracle.events_processed == plain["events"]
+    assert len(ref["trace"]) == len(plain["trace"])
+    assert not oracle._keys and not oracle._events
+    assert (ref["now"], ref["cs"]) == (plain["now"], plain["cs"])
+
+
+def test_oracle_dispatches_every_nemesis_event(on_oracle):
+    """A faulted nemesis cell (always seeded order) on the oracle: its
+    dispatch count equals the plain run's ``events_processed``."""
+    runs = []
+    for base in (Simulator, HeapSimulator):
+        cls = _counting(base)
+        on_oracle(cls)
+        cell = run_cell("lcu", "B", "drop", 3, threads=4, iters=8)
+        runs.append((cell.to_dict(), cls.built))
+    (plain_cell, plain_sims), (ref_cell, ref_sims) = runs
+    assert plain_cell == ref_cell
+    assert [s.events_processed for s in plain_sims] == \
+        [s.dispatched for s in ref_sims]
+    assert all(not s._keys for s in ref_sims)
+
+
+# --------------------------------------------------------------------- #
+# Simulator.run: the tight loop (no dispatch, stop_when or max_events)
+# and the general loop give the same runs
+
+
+class _PassThrough(Simulator):
+    """A simulator whose events all go through a pass-through
+    ``dispatch`` hook, so :meth:`Simulator.run` takes its general
+    loop."""
+
+    def __init__(self, tiebreak_seed=None):
+        super().__init__(tiebreak_seed)
+        self.dispatch = lambda now, fn: fn()
+
+
+def _with_sims(monkeypatch, base, run):
+    """``run()`` with every machine built on ``base``; returns its
+    result and each simulator's clock and ``engine_stats``."""
+    built = []
+
+    class Built(base):
+        def __init__(self, tiebreak_seed=None):
+            super().__init__(tiebreak_seed)
+            built.append(self)
+
+    monkeypatch.setattr(machine_mod, "Simulator", Built)
+    out = run()
+    return out, [(s.now, s.engine_stats()) for s in built]
+
+
+LOOP_CELLS = [
+    # (lock, model, write %, iterations, seed): 16 threads each, as the
+    # lcu_rw and swlock_rw benchmark cells
+    ("lcu", model_a, 25, 15, 1),
+    ("lcu", model_b, 100, 15, 2),
+    ("mcs", model_a, 25, 10, 1),
+    ("mrsw", model_b, 25, 10, 2),
+]
+
+
+@pytest.mark.parametrize(
+    "lock,config_factory,write_pct,iters,seed", LOOP_CELLS,
+    ids=[f"{l}-{c.__name__}-w{w}-s{s}" for l, c, w, _i, s in LOOP_CELLS],
+)
+def test_tight_loop_matches_general_loop(monkeypatch, lock, config_factory,
+                                         write_pct, iters, seed):
+    from repro.harness.microbench import run_microbench
+
+    def run():
+        r = run_microbench(config_factory(), lock, 16, write_pct,
+                           iters_per_thread=iters, seed=seed)
+        return r.elapsed, r.total_cs, r.per_thread_cs
+
+    tight, tight_sims = _with_sims(monkeypatch, Simulator, run)
+    general, general_sims = _with_sims(monkeypatch, _PassThrough, run)
+    assert tight == general
+    assert tight_sims == general_sims
+    assert tight_sims[0][1]["events_processed"] > 0
+
+
+def test_tight_loop_matches_general_loop_nemesis(monkeypatch):
+    def run():
+        return run_cell("lcu", "A", "crash_core", 0, threads=4,
+                        iters=8).to_dict()
+
+    tight, tight_sims = _with_sims(monkeypatch, Simulator, run)
+    general, general_sims = _with_sims(monkeypatch, _PassThrough, run)
+    assert tight["outcome"] != "violated"
+    assert tight == general
+    assert tight_sims == general_sims
 
 
 # --------------------------------------------------------------------- #
@@ -446,6 +584,23 @@ def test_batched_advance_skips_empty_cycles():
     assert n == 2
     assert hits == [5, 1_000_000_007]
     assert sim.now == 1_000_000_007
+
+
+@pytest.mark.parametrize("tiebreak_seed", [None, 5],
+                         ids=["stable", "seeded"])
+def test_until_bound_is_exact(tiebreak_seed):
+    """``until`` becomes a key bound: an event at ``until`` runs and one
+    a cycle later waits; a run without ``until`` passes any key, even
+    one above the bound it compares against."""
+    sim = Simulator(tiebreak_seed=tiebreak_seed)
+    hits = []
+    for t in (10, 11, 1 << 230):
+        sim.at(t, lambda: hits.append(sim.now))
+    sim.run(until=10)
+    assert (hits, sim.now, sim.pending_events) == ([10], 10, 2)
+    sim.run()
+    assert hits == [10, 11, 1 << 230]
+    assert sim.now == 1 << 230
 
 
 def test_signal_cancel_and_rearm():

@@ -10,7 +10,10 @@ merge policies in the sweep path, and the ``repro fairness`` CLI verb.
 
 import io
 import json
+import subprocess
+import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -445,6 +448,44 @@ class TestZeroOverhead:
         instr = run_microbench(small_test_model(), lock, fairness=obs, **kw)
         assert instr.elapsed == ref.elapsed
         assert instr.total_cs == ref.total_cs
+
+
+_SRC = Path(__file__).resolve().parents[1] / "src"
+
+#: an mrsw cell whose alerts snapshot memory-system messages: tuples
+#: holding op guards and closures
+_ALERTING_MRSW = f"""
+import json, sys
+sys.path.insert(0, {str(_SRC)!r})
+from repro.harness.microbench import run_microbench
+from repro.obs.fairness import FairnessObservatory
+from repro.params import model_a
+obs = FairnessObservatory(starvation_bound=1500)
+run_microbench(model_a(), "mrsw", 16, 25, iters_per_thread=10, seed=1,
+               fairness=obs)
+print(json.dumps(obs.to_dict(), sort_keys=True))
+"""
+
+
+class TestByteReproducible:
+    def test_alert_snapshots_identical_across_processes(self):
+        outs = []
+        for _ in range(2):
+            proc = subprocess.run(
+                [sys.executable, "-c", _ALERTING_MRSW],
+                capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout)
+        (s,) = json.loads(outs[0])["locks"].values()
+        events = [line for alert in s["starvation"]["alerts_detail"]
+                  for line in alert["events"]]
+        # the case is real: its snapshots hold memory-system payloads
+        assert any("'miss'" in line for line in events)
+        # (counts and a flag: pytest's diff of two ~90 kB strings is slow)
+        assert outs[0].count(" at 0x") == 0
+        identical = outs[0] == outs[1]
+        assert identical
 
 
 # --------------------------------------------------------------------- #
