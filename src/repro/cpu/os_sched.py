@@ -19,6 +19,7 @@ Posix mutex's slow path.
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from typing import Any, Callable, Deque, Dict, Generator, List, Optional
 
 from repro.cpu import ops
@@ -525,17 +526,16 @@ class OS:
         self.machine.mem.remote_rmw(t.core, op.addr, op.fn, done)
 
     def _ex_wait_line(self, t, op, done) -> None:
-        m = self.machine
-        stale = (
-            op.expected is not None
-            and m.mem.peek(op.addr) != op.expected
-        )
-        if stale or not m.mem.has_line(t.core, op.addr):
-            self.sim.after(1, done)
+        # None: the value is stale or the line is not cached, so a spin
+        # would never be woken; re-check next cycle instead
+        sig = self.machine.mem.cached_line_signal(t.core, op.addr,
+                                                  op.expected)
+        if sig is None:
+            sim = self.sim
+            sim.at(sim.now + 1, done)
             return
-        sig = m.mem.line_signal(t.core, op.addr)
         token = sig.wait(done)   # fires with payload None == done(None)
-        t.cancel_wait = lambda: sig.cancel(token)
+        t.cancel_wait = partial(sig.cancel, token)
         if op.timeout is not None:
             seq = t.op_seq
 
