@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from typing import Dict, List
+from typing import Dict
 
 from repro.cpu import ops
 from repro.cpu.machine import Machine
@@ -148,19 +148,3 @@ def run_stm_bench(
         abort_rate=s.abort_rate,
         abort_reasons=dict(s.abort_reasons),
     )
-
-
-def sweep_threads(
-    config_factory,
-    variants: List[str],
-    thread_counts: List[int],
-    **kwargs,
-) -> Dict[str, List[StmBenchResult]]:
-    """Figure 11 sweep: every (variant, thread count) combination."""
-    out: Dict[str, List[StmBenchResult]] = {}
-    for v in variants:
-        out[v] = [
-            run_stm_bench(config_factory(), v, threads=t, **kwargs)
-            for t in thread_counts
-        ]
-    return out

@@ -494,10 +494,6 @@ class FairnessObservatory:
 
     # -- export ---------------------------------------------------------- #
 
-    @property
-    def lock_labels(self) -> List[str]:
-        return sorted(st.label for st in self._locks.values())
-
     def lock_summary(self, key: Any) -> Optional[Dict[str, Any]]:
         """The fairness dict of one lock by its ``lock_id`` key."""
         st = self._locks.get(key)
