@@ -1,20 +1,15 @@
-"""Benchmark suite configuration.
+"""Shared helpers of the paper-claim tests.
 
-Each benchmark regenerates one table/figure of the paper at a reduced
-default scale (see EXPERIMENTS.md for paper-scale instructions), prints
-the resulting series, asserts the figure's shape checks, and records key
-simulated metrics in the pytest-benchmark ``extra_info``.
-
-The *host* time measured by pytest-benchmark is the simulator's own cost
-to regenerate the figure — useful for tracking harness regressions; the
-scientific output is the printed table and the extra_info metrics.
+Each module regenerates one table/figure of the paper (or one ablation
+or extension) at a reduced default scale (see EXPERIMENTS.md for
+paper-scale instructions), prints the resulting series, and asserts the
+figure's shape checks.  They are plain pytest tests (``python -m pytest
+benchmarks``); simulator speed is measured by ``python perf/run.py``.
 """
-
-import pytest
 
 
 def emit(result) -> None:
-    """Print a figure result prominently inside benchmark output."""
+    """Print a figure result prominently inside the test output."""
     print()
     print(result.text)
     if result.checks:

@@ -21,34 +21,26 @@ def _radiosity(flt_entries, lock="lcu"):
     ).elapsed_mean
 
 
-def test_flt_restores_radiosity_bias(benchmark):
-    results = benchmark.pedantic(
-        lambda: {
-            "pthread": run_app(model_a(), "radiosity", "pthread",
-                               threads=16, seeds=(1, 2, 3)).elapsed_mean,
-            "lcu": _radiosity(0),
-            "lcu+flt": _radiosity(8),
-        },
-        rounds=1, iterations=1,
-    )
+def test_flt_restores_radiosity_bias():
+    results = {
+        "pthread": run_app(model_a(), "radiosity", "pthread",
+                           threads=16, seeds=(1, 2, 3)).elapsed_mean,
+        "lcu": _radiosity(0),
+        "lcu+flt": _radiosity(8),
+    }
     print()
     for k, v in results.items():
         print(f"radiosity {k:8s}: {v:9.0f} cycles")
-    benchmark.extra_info.update(results)
     assert results["lcu"] > results["pthread"]          # the problem
     assert results["lcu+flt"] < 0.85 * results["lcu"]   # the fix
     assert results["lcu+flt"] < 1.10 * results["pthread"]
 
 
-def test_flt_harmless_under_contention(benchmark):
-    def run():
-        base = run_app(model_a(), "fluidanimate", "lcu",
-                       threads=32, seeds=(1, 2)).elapsed_mean
-        flt = run_app(model_a(flt_entries=8), "fluidanimate", "lcu",
-                      threads=32, seeds=(1, 2)).elapsed_mean
-        return base, flt
-
-    base, flt = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_flt_harmless_under_contention():
+    base = run_app(model_a(), "fluidanimate", "lcu",
+                   threads=32, seeds=(1, 2)).elapsed_mean
+    flt = run_app(model_a(flt_entries=8), "fluidanimate", "lcu",
+                  threads=32, seeds=(1, 2)).elapsed_mean
     print(f"\nfluidanimate lcu: {base:.0f}, lcu+flt: {flt:.0f}")
     # shared locks: the FLT may add a small retrieval penalty, but must
     # not degrade the contended case materially

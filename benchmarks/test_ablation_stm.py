@@ -34,46 +34,34 @@ def _counter_storm(stm, machine, threads=8, incs=12):
     return elapsed
 
 
-def test_contention_manager_policies(benchmark):
-    def run():
-        out = {}
-        for policy in ("none", "linear", "exponential"):
-            machine = Machine(model_a())
-            stm = ObjectSTM(machine, "lcu", backoff=policy)
-            elapsed = _counter_storm(stm, machine)
-            out[policy] = {
-                "cycles": elapsed,
-                "abort_rate": round(stm.stats.abort_rate, 3),
-            }
-        return out
-
-    out = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_contention_manager_policies():
+    out = {}
+    for policy in ("none", "linear", "exponential"):
+        machine = Machine(model_a())
+        stm = ObjectSTM(machine, "lcu", backoff=policy)
+        elapsed = _counter_storm(stm, machine)
+        out[policy] = {
+            "cycles": elapsed,
+            "abort_rate": round(stm.stats.abort_rate, 3),
+        }
     print()
     for policy, d in out.items():
         print(f"  {policy:12s}: {d['cycles']:8d} cycles, "
               f"abort rate {d['abort_rate']:.1%}")
-    benchmark.extra_info.update(
-        {k: v["cycles"] for k, v in out.items()}
-    )
     # backing off must cut the abort rate versus immediate retry
     assert out["exponential"]["abort_rate"] < out["none"]["abort_rate"]
 
 
-def test_irrevocability_token_cost(benchmark):
+def test_irrevocability_token_cost():
     """The read-mode token every regular commit takes when irrevocable
     support is enabled must cost little when no irrevocable transaction
     runs (read sharing keeps it cheap)."""
-    def run():
-        out = {}
-        for support in (False, True):
-            machine = Machine(model_a())
-            stm = ObjectSTM(machine, "lcu", irrevocable_support=support)
-            out["with_token" if support else "baseline"] = _counter_storm(
-                stm, machine, threads=6
-            )
-        return out
-
-    out = benchmark.pedantic(run, rounds=1, iterations=1)
+    out = {}
+    for support in (False, True):
+        machine = Machine(model_a())
+        stm = ObjectSTM(machine, "lcu", irrevocable_support=support)
+        out["with_token" if support else "baseline"] = _counter_storm(
+            stm, machine, threads=6
+        )
     print(f"\nirrevocability token overhead: {out}")
-    benchmark.extra_info.update(out)
     assert out["with_token"] < 1.6 * out["baseline"], out

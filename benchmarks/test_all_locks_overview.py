@@ -11,29 +11,22 @@ from repro.locks import all_algorithms
 from repro.params import model_a
 
 
-def test_all_locks_quantified(benchmark):
-    def run():
-        rows = [["lock", "cyc/CS (mutex)", "cyc/CS (75% read)", "fairness"]]
-        data = {}
-        for name, cls in sorted(all_algorithms().items()):
-            r = run_microbench(model_a(), name, threads=16, write_pct=100,
-                               iters_per_thread=60)
-            rw = "-"
-            if cls.rw_support:
-                rr = run_microbench(model_a(), name, threads=16,
-                                    write_pct=25, iters_per_thread=60)
-                rw = f"{rr.cycles_per_cs:.1f}"
-            rows.append([name, f"{r.cycles_per_cs:.1f}", rw,
-                         f"{r.fairness:.3f}"])
-            data[name] = r.cycles_per_cs
-        return rows, data
-
-    rows, data = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_all_locks_quantified():
+    rows = [["lock", "cyc/CS (mutex)", "cyc/CS (75% read)", "fairness"]]
+    data = {}
+    for name, cls in sorted(all_algorithms().items()):
+        r = run_microbench(model_a(), name, threads=16, write_pct=100,
+                           iters_per_thread=60)
+        rw = "-"
+        if cls.rw_support:
+            rr = run_microbench(model_a(), name, threads=16,
+                                write_pct=25, iters_per_thread=60)
+            rw = f"{rr.cycles_per_cs:.1f}"
+        rows.append([name, f"{r.cycles_per_cs:.1f}", rw,
+                     f"{r.fairness:.3f}"])
+        data[name] = r.cycles_per_cs
     print()
     print(render_table(rows, title="All locks, Model A, 16 threads"))
-    benchmark.extra_info.update(
-        {k: round(v, 1) for k, v in data.items()}
-    )
     # the paper's headline ordering must hold on the common workload
     assert data["lcu"] < data["ssb"] < data["tas"]
     assert data["lcu"] < data["mcs"]

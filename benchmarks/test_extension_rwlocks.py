@@ -14,27 +14,22 @@ from repro.harness.microbench import run_microbench
 from repro.params import model_b
 
 
-def test_rwlock_reader_scaling(benchmark):
+def test_rwlock_reader_scaling():
     WRITE_PCTS = (100, 10, 0)
 
-    def run():
-        out = {}
-        for lock in ("mrsw", "snzi", "lcu"):
-            series = []
-            for write_pct in WRITE_PCTS:
-                r = run_microbench(
-                    model_b(), lock, threads=16, write_pct=write_pct,
-                    iters_per_thread=60, cs_cycles=200,
-                )
-                series.append(round(r.cycles_per_cs, 1))
-            out[lock] = series
-        return out
-
-    out = benchmark.pedantic(run, rounds=1, iterations=1)
+    out = {}
+    for lock in ("mrsw", "snzi", "lcu"):
+        series = []
+        for write_pct in WRITE_PCTS:
+            r = run_microbench(
+                model_b(), lock, threads=16, write_pct=write_pct,
+                iters_per_thread=60, cs_cycles=200,
+            )
+            series.append(round(r.cycles_per_cs, 1))
+        out[lock] = series
     print(f"\ncycles/CS at write ratio {WRITE_PCTS}:")
     for lock, series in out.items():
         print(f"  {lock:5s}: {series}")
-    benchmark.extra_info.update(out)
 
     mrsw, snzi, lcu = out["mrsw"], out["snzi"], out["lcu"]
     # MRSW's reader counter hotspot: pure-read is no cheaper than mutex

@@ -14,24 +14,19 @@ from repro.harness.microbench import run_microbench
 from repro.params import model_a
 
 
-def test_tpmcs_bounds_the_anomaly(benchmark):
-    def run():
-        out = {}
-        for lock in ("mcs", "tpmcs", "lcu"):
-            series = []
-            for t in (16, 32, 48):
-                cfg = model_a(timeslice=20_000)
-                r = run_microbench(cfg, lock, threads=t, write_pct=100,
-                                   iters_per_thread=30)
-                series.append(round(r.cycles_per_cs, 1))
-            out[lock] = series
-        return out
-
-    out = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_tpmcs_bounds_the_anomaly():
+    out = {}
+    for lock in ("mcs", "tpmcs", "lcu"):
+        series = []
+        for t in (16, 32, 48):
+            cfg = model_a(timeslice=20_000)
+            r = run_microbench(cfg, lock, threads=t, write_pct=100,
+                               iters_per_thread=30)
+            series.append(round(r.cycles_per_cs, 1))
+        out[lock] = series
     print("\ncycles/CS at threads (16, 32, 48):")
     for lock, series in out.items():
         print(f"  {lock:6s}: {series}")
-    benchmark.extra_info.update(out)
 
     mcs, tpmcs, lcu = out["mcs"], out["tpmcs"], out["lcu"]
     # TP-MCS pays for its timestamps within the core count...

@@ -41,20 +41,15 @@ def _fairness_cell(config, lock, **kw):
     return next(iter(locks.values())), report
 
 
-def test_acquisition_fairness_index(benchmark):
-    def run():
-        out = {}
-        for lock in ("lcu", "mcs", "tatas", "ssb"):
-            summary, _ = _fairness_cell(
-                model_b(), lock, threads=16, write_pct=100,
-                duration=150_000,
-            )
-            out[lock] = round(summary["jain"], 3)
-        return out
-
-    out = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_acquisition_fairness_index():
+    out = {}
+    for lock in ("lcu", "mcs", "tatas", "ssb"):
+        summary, _ = _fairness_cell(
+            model_b(), lock, threads=16, write_pct=100,
+            duration=150_000,
+        )
+        out[lock] = round(summary["jain"], 3)
     print("\nJain fairness index (1.0 = perfectly fair):", out)
-    benchmark.extra_info["jain"] = out
     assert out["lcu"] > 0.95
     assert out["mcs"] > 0.95
     # model B's hierarchical coherence favours same-chip handoffs for
@@ -63,52 +58,40 @@ def test_acquisition_fairness_index(benchmark):
     assert out["lcu"] >= out["tatas"]
 
 
-def test_overtake_ledger_separates_fair_from_unfair(benchmark):
+def test_overtake_ledger_separates_fair_from_unfair():
     """The worst single-waiter overtake count: the LCU's queue bounds
     it near the network-arrival skew; the SSB's retry race does not."""
 
-    def run():
-        out = {}
-        for lock in ("lcu", "ssb"):
-            summary, _ = _fairness_cell(
-                model_a(), lock, threads=16, write_pct=25,
-                fixed_roles=True, duration=150_000,
-                cs_cycles=60, think_cycles=5,
-            )
-            out[lock] = summary["overtakes"]["max"]
-        return out
-
-    out = benchmark.pedantic(run, rounds=1, iterations=1)
+    out = {}
+    for lock in ("lcu", "ssb"):
+        summary, _ = _fairness_cell(
+            model_a(), lock, threads=16, write_pct=25,
+            fixed_roles=True, duration=150_000,
+            cs_cycles=60, think_cycles=5,
+        )
+        out[lock] = summary["overtakes"]["max"]
     print("\nworst single-waiter overtake count:", out)
-    benchmark.extra_info["max_overtake"] = out
     assert out["ssb"] > 4 * max(out["lcu"], 1)
 
 
-def test_writer_starvation_under_reader_flood(benchmark):
+def test_writer_starvation_under_reader_flood():
     """4 writers vs 12 readers, continuous load: the writers' share of
     grants, read from the observatory (which also proves the p999
     writer wait blows up on the unfair lock)."""
 
-    def run():
-        out = {}
-        for lock in ("lcu", "ssb"):
-            summary, report = _fairness_cell(
-                model_a(), lock, threads=16, write_pct=25,
-                fixed_roles=True, duration=200_000,
-                cs_cycles=60, think_cycles=5,
-            )
-            out[lock] = {
-                "writer_share": summary["writer_share"],
-                "write_p999": summary["wait"]["write"]["p999"],
-            }
-        return out
-
-    out = benchmark.pedantic(run, rounds=1, iterations=1)
+    out = {}
+    for lock in ("lcu", "ssb"):
+        summary, report = _fairness_cell(
+            model_a(), lock, threads=16, write_pct=25,
+            fixed_roles=True, duration=200_000,
+            cs_cycles=60, think_cycles=5,
+        )
+        out[lock] = {
+            "writer_share": summary["writer_share"],
+            "write_p999": summary["wait"]["write"]["p999"],
+        }
     print("\nwriter share / p999 write wait (4 writers / 12 readers):",
           out)
-    benchmark.extra_info["writer_share"] = {
-        k: v["writer_share"] for k, v in out.items()
-    }
     # queue fairness guarantees writers a real share; reader preference
     # (SSB) suppresses them
     assert out["lcu"]["writer_share"] > 1.5 * out["ssb"]["writer_share"]

@@ -3,8 +3,8 @@
 from repro.harness.tables import figure1_table, figure8_table
 
 
-def test_figure1_comparison_table(benchmark):
-    table = benchmark(figure1_table)
+def test_figure1_comparison_table():
+    table = figure1_table()
     print()
     print(table)
     # the LCU row must claim the full feature set the paper claims
@@ -13,8 +13,8 @@ def test_figure1_comparison_table(benchmark):
     assert "1 (direct LCU-to-LCU)" in lcu_row
 
 
-def test_figure8_parameter_table(benchmark):
-    table = benchmark(figure8_table)
+def test_figure8_parameter_table():
+    table = figure8_table()
     print()
     print(table)
     assert "32 (32x1)" in table and "32 (4x8)" in table

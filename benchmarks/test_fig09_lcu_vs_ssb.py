@@ -15,29 +15,19 @@ from repro.harness.figures import figure9
 THREADS = (4, 8, 16, 32)
 
 
-def test_fig9a_model_a(benchmark):
-    r = benchmark.pedantic(
-        figure9,
-        kwargs=dict(model="A", thread_counts=THREADS,
-                    write_ratios=(100, 75, 50, 25), iters_per_thread=100),
-        rounds=1, iterations=1,
-    )
+def test_fig9a_model_a():
+    r = figure9(model="A", thread_counts=THREADS,
+                write_ratios=(100, 75, 50, 25), iters_per_thread=100)
     emit(r)
     assert_checks(r)
-    benchmark.extra_info["lcu_100w_cyc_per_cs"] = r.series["lcu-100%w"]
-    benchmark.extra_info["ssb_100w_cyc_per_cs"] = r.series["ssb-100%w"]
     # readers help both systems
     assert r.series["lcu-25%w"][-1] < r.series["lcu-100%w"][-1]
     assert r.series["ssb-25%w"][-1] < r.series["ssb-100%w"][-1]
 
 
-def test_fig9b_model_b(benchmark):
-    r = benchmark.pedantic(
-        figure9,
-        kwargs=dict(model="B", thread_counts=THREADS,
-                    write_ratios=(100, 50), iters_per_thread=100),
-        rounds=1, iterations=1,
-    )
+def test_fig9b_model_b():
+    r = figure9(model="B", thread_counts=THREADS,
+                write_ratios=(100, 50), iters_per_thread=100)
     emit(r)
     assert_checks(r)
     lcu = r.series["lcu-100%w"]

@@ -17,16 +17,12 @@ from conftest import assert_checks, emit
 from repro.harness.figures import figure10
 
 
-def test_fig10a_model_a(benchmark):
-    r = benchmark.pedantic(
-        figure10,
-        kwargs=dict(model="A", thread_counts=(8, 16, 32, 48),
-                    write_ratios=(100, 25), iters_per_thread=30,
-                    quantum=20_000,
-                    locks=("lcu", "mcs", "mrsw", "tas", "tatas",
-                           "pthread")),
-        rounds=1, iterations=1,
-    )
+def test_fig10a_model_a():
+    r = figure10(model="A", thread_counts=(8, 16, 32, 48),
+                 write_ratios=(100, 25), iters_per_thread=30,
+                 quantum=20_000,
+                 locks=("lcu", "mcs", "mrsw", "tas", "tatas",
+                        "pthread"))
     emit(r)
     assert_checks(r)
     lcu = r.series["lcu-100%w"]
@@ -36,9 +32,6 @@ def test_fig10a_model_a(benchmark):
     # both "eviction-safe" designs must stay far below MCS at 48 threads
     pthread = r.series["pthread-100%w"]
     assert pthread[-1] < 0.6 * mcs[-1]
-    benchmark.extra_info["lcu_over_mcs"] = [
-        m / l for l, m in zip(lcu, mcs)
-    ]
     # oversubscription anomaly: MCS at 48 threads falls off a cliff
     # (handoffs stall behind preempted waiters for whole reschedules);
     # the LCU's grant timer skips absent threads and stays far smoother
@@ -50,14 +43,10 @@ def test_fig10a_model_a(benchmark):
     assert r.series["lcu-25%w"][-2] < r.series["lcu-100%w"][-2]
 
 
-def test_fig10b_model_b(benchmark):
-    r = benchmark.pedantic(
-        figure10,
-        kwargs=dict(model="B", thread_counts=(4, 8, 16, 32),
-                    write_ratios=(100,), iters_per_thread=60,
-                    locks=("lcu", "mcs", "mrsw", "tatas")),
-        rounds=1, iterations=1,
-    )
+def test_fig10b_model_b():
+    r = figure10(model="B", thread_counts=(4, 8, 16, 32),
+                 write_ratios=(100,), iters_per_thread=60,
+                 locks=("lcu", "mcs", "mrsw", "tatas"))
     emit(r)
     assert_checks(r)
     # LCU > 2x over MCS holds in the multi-CMP model too

@@ -14,18 +14,11 @@ from conftest import assert_checks, emit
 from repro.harness.figures import figure11
 
 
-def test_fig11a_model_a(benchmark):
-    r = benchmark.pedantic(
-        figure11,
-        kwargs=dict(model="A", thread_counts=(1, 2, 4, 8, 16),
-                    txns_per_thread=40),
-        rounds=1, iterations=1,
-    )
+def test_fig11a_model_a():
+    r = figure11(model="A", thread_counts=(1, 2, 4, 8, 16),
+                 txns_per_thread=40)
     emit(r)
     assert_checks(r)
-    benchmark.extra_info["txn_cycles"] = {
-        k: [round(x) for x in v] for k, v in r.series.items()
-    }
     # at 16 threads the LCU approaches Fraser (within 2x) and beats SSB
     assert r.series["lcu"][-1] < 2.0 * r.series["fraser"][-1]
     assert r.series["lcu"][-1] < r.series["ssb"][-1]
@@ -33,13 +26,9 @@ def test_fig11a_model_a(benchmark):
     assert r.series["sw-only"][-1] / r.series["lcu"][-1] > 2.0
 
 
-def test_fig11b_model_b(benchmark):
-    r = benchmark.pedantic(
-        figure11,
-        kwargs=dict(model="B", thread_counts=(1, 4, 8, 16),
-                    txns_per_thread=30),
-        rounds=1, iterations=1,
-    )
+def test_fig11b_model_b():
+    r = figure11(model="B", thread_counts=(1, 4, 8, 16),
+                 txns_per_thread=30)
     emit(r)
     assert_checks(r)
     # the multi-CMP model makes sw-only even worse past one chip

@@ -13,14 +13,10 @@ from conftest import assert_checks, emit
 from repro.harness.figures import figure12
 
 
-def test_fig12a_model_a(benchmark):
-    r = benchmark.pedantic(
-        figure12,
-        kwargs=dict(model="A", threads=16,
-                    sizes={"rb": 2_048, "skip": 2_048, "hash": 8_192},
-                    txns_per_thread=30),
-        rounds=1, iterations=1,
-    )
+def test_fig12a_model_a():
+    r = figure12(model="A", threads=16,
+                 sizes={"rb": 2_048, "skip": 2_048, "hash": 8_192},
+                 txns_per_thread=30)
     emit(r)
     assert_checks(r)
     speedups = {
@@ -29,20 +25,15 @@ def test_fig12a_model_a(benchmark):
         )
     }
     print("LCU speedup over sw-only:", speedups)
-    benchmark.extra_info["lcu_speedup"] = speedups
     assert speedups["rb"] > 1.4
     assert speedups["skip"] > 1.4
     assert speedups["hash"] > 1.2
 
 
-def test_fig12b_model_b(benchmark):
-    r = benchmark.pedantic(
-        figure12,
-        kwargs=dict(model="B", threads=16,
-                    sizes={"rb": 1_024, "skip": 1_024, "hash": 4_096},
-                    txns_per_thread=25),
-        rounds=1, iterations=1,
-    )
+def test_fig12b_model_b():
+    r = figure12(model="B", threads=16,
+                 sizes={"rb": 1_024, "skip": 1_024, "hash": 4_096},
+                 txns_per_thread=25)
     emit(r)
     assert_checks(r)
     speedups = [

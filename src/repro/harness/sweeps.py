@@ -3,8 +3,9 @@
 The paper's figures sample fixed points; these helpers map out *where*
 one locking design overtakes another as a workload parameter moves —
 e.g. the critical-section length below which hardware queueing matters,
-or the contention level where TATAS collapses.  Used by the ablation
-benches and available from the CLI for exploration.
+or the contention level where TATAS collapses.  Used by the crossover
+tests of ``benchmarks/test_sweep_crossovers.py``; no CLI verb calls them
+(``python -m repro sweep`` runs :mod:`repro.harness.parallel`).
 """
 
 from __future__ import annotations

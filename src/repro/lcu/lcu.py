@@ -633,7 +633,7 @@ class LockControlUnit:
 
     def _on_wait(self, m: msg.WaitMsg) -> None:
         e = self._entries.get((m.addr, m.tid))
-        if e is None or (m.seq and m.seq != e.req_seq):
+        if e is None or m.seq != e.req_seq:
             return  # stale WAIT for an earlier issue of this request
         if e.status == ISSUED:
             e.status = WAIT
@@ -643,7 +643,7 @@ class LockControlUnit:
         e = self._entries.get((m.addr, m.tid))
         self.stats["retries_received"] += 1
         if e is not None:
-            if m.seq and m.seq != e.req_seq:
+            if m.seq != e.req_seq:
                 # Stale RETRY: it answered an earlier issue of this
                 # (addr, tid) request whose entry a crash reclaim
                 # already freed; this entry is a newer incarnation.

@@ -343,7 +343,7 @@ class LockReservationTable:
         self._forward(e, m.addr, req, m.seq)
 
     def _forward(
-        self, e: LrtEntry, addr: int, req: Who, req_seq: int = 0
+        self, e: LrtEntry, addr: int, req: Who, req_seq: int
     ) -> None:
         assert e.tail is not None
         self.stats["forwards"] += 1
@@ -405,7 +405,7 @@ class LockReservationTable:
             ),
         )
 
-    def _retry(self, req: Who, addr: int, seq: int = 0) -> None:
+    def _retry(self, req: Who, addr: int, seq: int) -> None:
         self.stats["retries"] += 1
         if self._subs:
             self._emit("retry", addr, req.tid, req.write)

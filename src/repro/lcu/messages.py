@@ -51,8 +51,8 @@ class Request(NamedTuple):
     reclamation can free a queue node while replies to it are still in
     flight; when the thread immediately re-requests under the same
     (addr, tid) key, the stale reply would otherwise bind to the *new*
-    entry.  ``seq=0`` is a wildcard that always matches (legacy senders
-    and tests).
+    entry.  The LCU drops any reply whose seq is not its entry's
+    ``req_seq``; it numbers issues from 1, so a 0 never matches.
     """
     addr: int
     req: Who
@@ -76,7 +76,7 @@ class FwdRequest(NamedTuple):
     req: Who
     gen: int
     confirm_required: bool = False
-    req_seq: int = 0        # echoed Request.seq (0 = wildcard)
+    req_seq: int = 0        # echoed Request.seq
 
 
 class FwdNack(NamedTuple):
@@ -100,7 +100,7 @@ class WaitMsg(NamedTuple):
     """tail LCU -> requestor LCU: you are enqueued (paper's WAIT)."""
     addr: int
     tid: int
-    seq: int = 0            # echoed Request.seq (0 = wildcard)
+    seq: int = 0            # echoed Request.seq
 
 
 class Grant(NamedTuple):
@@ -131,7 +131,7 @@ class Retry(NamedTuple):
     software layer retries (paper's RETRY)."""
     addr: int
     tid: int
-    seq: int = 0            # echoed Request.seq (0 = wildcard)
+    seq: int = 0            # echoed Request.seq
 
 
 class ReleaseMsg(NamedTuple):

@@ -231,9 +231,6 @@ class Network:
         # predate this endpoint's access link are stale
         self._routes.clear()
 
-    def is_registered(self, endpoint: Endpoint) -> bool:
-        return endpoint in self._handlers
-
     def set_reliable(self, layer) -> None:
         """Install (or remove, with ``None``) the reliable-delivery layer."""
         self._reliable = layer

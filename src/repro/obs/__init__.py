@@ -9,7 +9,7 @@ The observability layer of the reproduction (see README "Observability"):
   sends (the protocol flight recorder); :class:`SpanTracer`: interval
   tracing (lock-held windows, message flights, transactions) exported
   as Chrome trace-event JSON, loadable in Perfetto.
-* :mod:`repro.obs.report` — the versioned ``RunReport`` JSON schema the
+* :mod:`repro.obs.report` — the ``RunReport`` JSON schema (version 4) the
   harness emits (``--metrics-out``) and the CLI validates
   (``python -m repro report``).  Not re-exported: import it from the
   submodule.
@@ -24,8 +24,9 @@ The observability layer of the reproduction (see README "Observability"):
 * :mod:`repro.obs.diff` — structural RunReport diffing with relative-
   threshold regression verdicts (``python -m repro diff``).  Not
   re-exported: import it from the submodule.
-* :mod:`repro.obs.host` — environment fingerprints and the validator
-  of the ``host`` section older (v3) reports carry.  Simulator speed
+* :mod:`repro.obs.host` — the environment fingerprint that
+  ``perf/child.py`` stamps on its results, and the host-derived fields
+  a report of simulated quantities must not carry.  Simulator speed
   comes from ``python perf/run.py``.
 * :mod:`repro.obs.fairness` — :class:`FairnessObservatory`: passive
   fairness/starvation observatory — arrival-vs-grant overtake ledger,
@@ -43,11 +44,7 @@ from repro.obs.fairness import (
     summarize_fairness,
     validate_fairness,
 )
-from repro.obs.host import (
-    HostProfileError,
-    env_fingerprint,
-    validate_host_section,
-)
+from repro.obs.host import env_fingerprint
 from repro.obs.instrument import (
     attach_machine_metrics,
     finish_run,
@@ -79,7 +76,7 @@ __all__ = [
     "attach_machine_metrics", "harvest_machine_metrics",
     "harvest_stm_metrics", "finish_run",
     "ContentionProfiler", "ProfileError", "validate_profile",
-    "HostProfileError", "validate_host_section", "env_fingerprint",
+    "env_fingerprint",
     "FairnessObservatory", "OvertakeLedger", "StarvationAlert",
     "FairnessError", "validate_fairness", "summarize_fairness",
 ]

@@ -1,7 +1,7 @@
 """Structural diffing of two versioned RunReports with regression verdicts.
 
 ``python -m repro diff OLD NEW`` is the repo's perf-regression gate: it
-walks two RunReport JSON files (any supported schema version), pairs up
+walks two RunReport JSON files (schema version 4), pairs up
 comparable numeric quantities — result scalars, metric counters,
 histogram means and p95s — and classifies each pair against a *relative*
 threshold::
@@ -121,18 +121,12 @@ def _numeric_leaves(obj: Any, prefix: str) -> Dict[str, float]:
 
 
 def _comparable(report: Dict[str, Any]) -> Dict[str, float]:
-    """Extract the quantities worth diffing from one RunReport.
-
-    Host wall-clock never enters: an older report's ``host`` section and
-    its ``*.host_ns`` counters are nondeterministic, so they would flake
-    the deterministic simulated-metrics gate."""
+    """Extract the quantities worth diffing from one RunReport."""
     out: Dict[str, float] = {}
     out.update(_numeric_leaves(report.get("results", {}), "results"))
     metrics = report.get("metrics", {})
-    counters = _numeric_leaves(metrics.get("counters", {}),
-                               "metrics.counters")
-    out.update((k, v) for k, v in counters.items()
-               if not k.endswith(".host_ns"))
+    out.update(_numeric_leaves(metrics.get("counters", {}),
+                               "metrics.counters"))
     for name, h in metrics.get("histograms", {}).items():
         if not isinstance(h, dict):
             continue

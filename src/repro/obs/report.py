@@ -27,17 +27,11 @@ Top-level shape (version 4)::
         "series": {name: [[t, value], ...]}
       },
       "profile": {...},         # optional: ContentionProfiler.to_dict()
-      "host": {...},            # optional, older reports only:
-                                # host-time attribution
       "fairness": {...}         # optional: FairnessObservatory.to_dict()
                                 # (--fairness wait/overtake/SLO ledger)
     }
 
-Version 1 (no ``profile`` section), version 2 (no ``host`` section) and
-version 3 (no ``fairness`` section) are still accepted everywhere —
-older BENCH baselines stay valid and diffable.  Reports are always
-*written* at version 4, and never with a ``host`` section, which only
-older reports carry.
+Reports are written at version 4, and only version 4 validates.
 
 ``validate_run_report`` is the single source of truth for the schema;
 the CLI (``python -m repro report``), the smoke tests and the golden
@@ -52,7 +46,6 @@ from typing import Any, Callable, Dict, List, Optional
 
 RUN_REPORT_SCHEMA = "repro.run-report"
 RUN_REPORT_VERSION = 4
-RUN_REPORT_SUPPORTED_VERSIONS = (1, 2, 3, 4)
 RUN_REPORT_KINDS = ("microbench", "stm", "app", "figure", "sweep",
                     "fairness")
 
@@ -124,7 +117,7 @@ def build_run_report(
 
 def validate_run_report(report: Any) -> None:
     """Raise :class:`ReportValidationError` if ``report`` is not a valid
-    RunReport of any supported schema version."""
+    RunReport at :data:`RUN_REPORT_VERSION`."""
     errors: List[str] = []
 
     def err(msg: str) -> None:
@@ -134,9 +127,8 @@ def validate_run_report(report: Any) -> None:
         raise ReportValidationError(["report must be a JSON object"])
     if report.get("schema") != RUN_REPORT_SCHEMA:
         err(f"schema must be {RUN_REPORT_SCHEMA!r}")
-    version = report.get("version")
-    if version not in RUN_REPORT_SUPPORTED_VERSIONS:
-        err(f"version must be one of {RUN_REPORT_SUPPORTED_VERSIONS}")
+    if report.get("version") != RUN_REPORT_VERSION:
+        err(f"version must be {RUN_REPORT_VERSION}")
     if report.get("kind") not in RUN_REPORT_KINDS:
         err(f"kind must be one of {RUN_REPORT_KINDS}")
     for section in ("config", "results"):
@@ -192,36 +184,19 @@ def validate_run_report(report: Any) -> None:
 
     profile = report.get("profile")
     if profile is not None:
-        if version == 1:
-            err("'profile' section requires version 2")
-        else:
-            from repro.obs.profile import ProfileError, validate_profile
-            try:
-                validate_profile(profile)
-            except ProfileError as e:
-                err(f"profile: {e}")
-
-    host = report.get("host")
-    if host is not None:
-        if version in (1, 2):
-            err("'host' section requires version 3")
-        else:
-            from repro.obs.host import HostProfileError, validate_host_section
-            try:
-                validate_host_section(host)
-            except HostProfileError as e:
-                err(f"host: {e}")
+        from repro.obs.profile import ProfileError, validate_profile
+        try:
+            validate_profile(profile)
+        except ProfileError as e:
+            err(f"profile: {e}")
 
     fairness = report.get("fairness")
     if fairness is not None:
-        if version in (1, 2, 3):
-            err("'fairness' section requires version 4")
-        else:
-            from repro.obs.fairness import FairnessError, validate_fairness
-            try:
-                validate_fairness(fairness)
-            except FairnessError as e:
-                err(f"fairness: {e}")
+        from repro.obs.fairness import FairnessError, validate_fairness
+        try:
+            validate_fairness(fairness)
+        except FairnessError as e:
+            err(f"fairness: {e}")
 
     if errors:
         raise ReportValidationError(errors)

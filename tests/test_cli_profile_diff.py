@@ -18,7 +18,11 @@ import pytest
 
 from repro.__main__ import main
 from repro.obs import validate_chrome_trace
-from repro.obs.report import load_run_report
+from repro.obs.report import (
+    ReportValidationError,
+    load_run_report,
+    validate_run_report,
+)
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
 GOLDEN_FOLDED = DATA / "golden_profile.folded"
@@ -202,16 +206,21 @@ class TestDiffVerb:
         assert "metrics.counters.engine.events_processed" in keys
         assert "metrics.counters.engine.heap_pushes" in keys
 
-    def test_old_version_report_still_diffable(self, tmp_path):
-        # pre-v3 reports (no 'host' section) must stay accepted as diff
-        # baselines forever
+    @pytest.mark.parametrize("version", [1, 2, 3])
+    def test_old_version_report_rejected(self, tmp_path, version):
+        # only version 4 is a run report: the validator, and with it
+        # both verbs, refuse an older version
         rep = make_report(tmp_path, "a.json")
         old = json.loads(rep.read_text())
-        old["version"] = 2
-        old.pop("host", None)
+        old["version"] = version
+        with pytest.raises(ReportValidationError, match="version must be 4"):
+            validate_run_report(old)
         old_path = tmp_path / "old.json"
         old_path.write_text(json.dumps(old))
-        code, out, _ = run_cli("diff", str(old_path), str(rep),
-                               "--fail-on-regression")
-        assert code == 0
-        assert "unchanged" in out
+        code, _, err = run_cli("report", str(old_path))
+        assert code == 1
+        assert "version must be 4" in err
+        for pair in ((old_path, rep), (rep, old_path)):
+            code, _, err = run_cli("diff", *map(str, pair))
+            assert code == 2
+            assert "version must be 4" in err

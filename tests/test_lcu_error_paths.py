@@ -8,6 +8,7 @@ from repro import Machine, OS, small_test_model
 from repro.cpu import ops
 from repro.lcu import api
 from repro.lcu import messages as pm
+from repro.lcu.entry import ISSUED
 from repro.lcu.lcu import ProtocolError
 from repro.lcu.messages import Who
 
@@ -59,9 +60,30 @@ class TestLcuDefensive:
         lcu.instr_acquire(1, addr, True)
         m.sim.run(until=m.sim.now + 5_000,
                   stop_when=lambda: lcu.poll_ready(1, addr))
-        # entry is now RCV; a RETRY for it is a protocol violation
+        # entry is now RCV; a RETRY for its own issue is a protocol
+        # violation
+        seq = lcu.entry(1, addr).req_seq
         with pytest.raises(ProtocolError):
-            lcu.on_message(("lrt", 0), pm.Retry(addr, tid=1))
+            lcu.on_message(("lrt", 0), pm.Retry(addr, tid=1, seq=seq))
+
+    @pytest.mark.parametrize("kind", ["retry", "wait"])
+    @pytest.mark.parametrize("other", ["zero", "next"])
+    def test_reply_for_other_issue_ignored(self, m, kind, other):
+        """A RETRY or WAIT whose seq is not the entry's ``req_seq`` (0,
+        which no issue carries, or another issue's seq) leaves the
+        ISSUED entry untouched."""
+        addr = m.alloc.alloc_line()
+        lcu = m.lcus[0]
+        lcu.instr_acquire(1, addr, True)
+        e = lcu.entry(1, addr)
+        assert e.status == ISSUED and e.req_seq >= 1
+        seq = 0 if other == "zero" else e.req_seq + 1
+        reply = (pm.Retry if kind == "retry" else pm.WaitMsg)(
+            addr, tid=1, seq=seq
+        )
+        lcu.on_message(("lrt", 0), reply)
+        assert lcu.entry(1, addr) is e
+        assert e.status == ISSUED
 
 
 class TestLrtDefensive:

@@ -22,12 +22,12 @@ class TestAssembly:
 
     def test_endpoints_registered(self):
         m = Machine(small_test_model())
-        for i in range(m.config.cores):
-            assert m.net.is_registered(("core", i))
+        endpoints = [("core", i) for i in range(m.config.cores)]
         for j in range(m.config.num_lrts):
-            assert m.net.is_registered(("dir", j))
-            assert m.net.is_registered(("lrt", j))
-            assert m.net.is_registered(("ssb", j))
+            endpoints += [("dir", j), ("lrt", j), ("ssb", j)]
+        for ep in endpoints:
+            with pytest.raises(ValueError, match="already registered"):
+                m.net.register(ep, lambda src, payload: None)
 
     def test_mc_units_spread_over_chips(self):
         m = Machine(model_b())

@@ -489,7 +489,7 @@ class TestByteReproducible:
 
 
 # --------------------------------------------------------------------- #
-# RunReport v4 round-trip and v3 back-compat
+# RunReport v4: round-trip and the version gate
 
 
 class TestReportIntegration:
@@ -517,17 +517,11 @@ class TestReportIntegration:
         text = summarize_fairness(reloaded["fairness"])
         assert "jain" in text and "overtakes" in text
 
-    def test_v3_without_fairness_still_validates(self):
-        report = self._report()
-        del report["fairness"]
-        report["version"] = 3
-        validate_run_report(report)
-
     def test_fairness_section_requires_v4(self):
         report = self._report()
         report["version"] = 3
         with pytest.raises(ReportValidationError,
-                           match="requires version 4"):
+                           match="version must be 4"):
             validate_run_report(report)
 
     def test_validator_rejects_malformed_section(self):

@@ -1,36 +1,15 @@
-"""Unit tests for repro.obs.host: host-section validation, the
-host-derived fields a scorecard record must not carry, and environment
-fingerprints.
+"""Unit tests for repro.obs.host: the host-derived fields a scorecard
+record must not carry, and environment fingerprints.
 """
 
 import pytest
 
-from repro.obs.host import (
-    HOST_FIELDS,
-    HostProfileError,
-    env_fingerprint,
-    validate_host_section,
-)
+from repro.obs.host import HOST_FIELDS, env_fingerprint
 from repro.obs.report import (
     ReportValidationError,
     build_run_report,
     validate_run_report,
 )
-
-
-# --------------------------------------------------------------------- #
-# host-section validation
-
-def _host_section():
-    """A ``host`` section as v3 RunReports carry it."""
-    return {
-        "enabled": True,
-        "total_ns": 1750,
-        "subsystems": {"engine": 1000, "lcu": 500, "net": 250},
-        "handlers": {
-            "handler": {"subsystem": "lcu", "ns": 400, "events": 1},
-        },
-    }
 
 
 def _valid_cell():
@@ -51,21 +30,6 @@ def _valid_record():
 
 
 class TestValidation:
-    def test_valid_host_section(self):
-        validate_host_section(_host_section())
-
-    @pytest.mark.parametrize("mutation", [
-        {"total_ns": "many"},
-        {"subsystems": []},
-        {"subsystems": {"engine": "x"}},
-        {"handlers": 3},
-    ])
-    def test_bad_host_section(self, mutation):
-        section = _host_section()
-        section.update(mutation)
-        with pytest.raises(HostProfileError):
-            validate_host_section(section)
-
     def test_valid_record(self):
         validate_run_report(_valid_record())
 
@@ -88,16 +52,6 @@ class TestValidation:
         rec["results"]["cells"]["lcu/A"].update(mutation)
         with pytest.raises(ReportValidationError, match=next(iter(mutation))):
             validate_run_report(rec)
-
-    def test_v3_report_host_section_checked(self):
-        # the reason the validator stays: v3 reports carry the section
-        report = build_run_report("microbench", {}, {})
-        report["version"] = 3
-        report["host"] = _host_section()
-        validate_run_report(report)
-        report["host"]["total_ns"] = "many"
-        with pytest.raises(ReportValidationError, match="host"):
-            validate_run_report(report)
 
 
 class TestFingerprint:
